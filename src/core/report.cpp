@@ -100,6 +100,14 @@ std::string format_fig5(const std::vector<BenchmarkRun>& runs) {
   return table.render();
 }
 
+namespace {
+
+const char* mip_status_name(const TwoStepStats& stats) {
+  return stats.mip_status ? milp::to_string(*stats.mip_status) : "not-run";
+}
+
+}  // namespace
+
 std::string format_solver_stats(const TwoStepStats& stats) {
   const milp::LpStageStats& s = stats.lp_stage;
   AsciiTable table({"counter", "value"});
@@ -120,7 +128,7 @@ std::string format_solver_stats(const TwoStepStats& stats) {
   table.add_row({"vars fixed", std::to_string(stats.vars_fixed) + "/" +
                                    std::to_string(stats.vars_total)});
   table.add_row({"LP status", milp::to_string(stats.lp_status)});
-  table.add_row({"MIP status", milp::to_string(stats.mip_status)});
+  table.add_row({"MIP status", mip_status_name(stats)});
   table.add_row({"LP time", fmt_double(stats.lp_seconds, 4) + "s"});
   table.add_row({"MIP time", fmt_double(stats.mip_seconds, 4) + "s"});
   table.add_row({"fallback (unfixed dive)",
@@ -163,7 +171,7 @@ std::string solver_stats_json(const TwoStepStats& stats) {
       .field("lp_seconds", stats.lp_seconds)
       .field("mip_seconds", stats.mip_seconds)
       .field("lp_status", milp::to_string(stats.lp_status))
-      .field("mip_status", milp::to_string(stats.mip_status))
+      .field("mip_status", mip_status_name(stats))
       .field("fallback_unfixed", stats.fallback_unfixed)
       .field("algorithm", milp::to_string(stats.lp_algorithm))
       .field("dual_iterations", s.dual_iterations)

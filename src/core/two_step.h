@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 
 #include "core/model_builder.h"
 #include "milp/branch_and_bound.h"
@@ -81,7 +82,9 @@ struct TwoStepStats {
   double lp_seconds = 0.0;
   double mip_seconds = 0.0;
   milp::SolveStatus lp_status = milp::SolveStatus::kNumericalError;
-  milp::SolveStatus mip_status = milp::SolveStatus::kNumericalError;
+  // Status of the last residual branch & bound; empty when none ran (a
+  // dive that finished on its own, or an lp_only solve).
+  std::optional<milp::SolveStatus> mip_status;
   bool fallback_unfixed = false;  // dive/fixing dead-ended; B&B re-solve
   int mip_threads = 1;            // worker threads of the last B&B run
   std::vector<long> mip_nodes_per_thread;

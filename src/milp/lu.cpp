@@ -202,7 +202,7 @@ bool BasisLu::factorize(const CscMatrix& a, const std::vector<int>& basis) {
   return true;
 }
 
-void BasisLu::ftran(std::vector<double>& b) const {
+void BasisLu::ftran(std::vector<double>& b) {
   CGRAF_DCHECK(static_cast<int>(b.size()) == m_);
   // Forward: y = L^{-1} b (in elimination order).
   for (int k = 0; k < m_; ++k) {
@@ -213,7 +213,8 @@ void BasisLu::ftran(std::vector<double>& b) const {
     }
   }
   // Backward: solve U x = y; x is indexed by basis position.
-  std::vector<double> x(static_cast<size_t>(m_), 0.0);
+  std::vector<double>& x = work_;
+  x.assign(static_cast<size_t>(m_), 0.0);
   for (int k = m_ - 1; k >= 0; --k) {
     double acc = b[static_cast<size_t>(prow_[static_cast<size_t>(k)])];
     for (const Entry& e : urow_[static_cast<size_t>(k)])
@@ -221,7 +222,7 @@ void BasisLu::ftran(std::vector<double>& b) const {
     x[static_cast<size_t>(pcol_[static_cast<size_t>(k)])] =
         acc / pivot_[static_cast<size_t>(k)];
   }
-  b = std::move(x);
+  b.swap(x);
   // Apply eta updates in application order.
   for (const Eta& eta : etas_) {
     double& t = b[static_cast<size_t>(eta.pos)];
@@ -233,7 +234,7 @@ void BasisLu::ftran(std::vector<double>& b) const {
   }
 }
 
-void BasisLu::btran(std::vector<double>& b) const {
+void BasisLu::btran(std::vector<double>& b) {
   CGRAF_DCHECK(static_cast<int>(b.size()) == m_);
   // Eta transposes, newest first.
   for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
@@ -243,7 +244,8 @@ void BasisLu::btran(std::vector<double>& b) const {
     b[static_cast<size_t>(it->pos)] = acc / it->pivot;
   }
   // Solve U^T w = b (increasing elimination order).
-  std::vector<double> w(static_cast<size_t>(m_), 0.0);
+  std::vector<double>& w = work_;
+  w.assign(static_cast<size_t>(m_), 0.0);
   for (int k = 0; k < m_; ++k) {
     const double t = b[static_cast<size_t>(pcol_[static_cast<size_t>(k)])] /
                      pivot_[static_cast<size_t>(k)];
@@ -254,14 +256,15 @@ void BasisLu::btran(std::vector<double>& b) const {
     }
   }
   // Solve L^T z = w (decreasing order); z indexed by row.
-  std::vector<double> z(static_cast<size_t>(m_), 0.0);
+  std::vector<double>& z = work2_;
+  z.assign(static_cast<size_t>(m_), 0.0);
   for (int k = m_ - 1; k >= 0; --k) {
     double acc = w[static_cast<size_t>(k)];
     for (const Entry& e : lcol_[static_cast<size_t>(k)])
       acc -= e.val * z[static_cast<size_t>(e.idx)];
     z[static_cast<size_t>(prow_[static_cast<size_t>(k)])] = acc;
   }
-  b = std::move(z);
+  b.swap(z);
 }
 
 bool BasisLu::update(const std::vector<double>& spike, int pos) {

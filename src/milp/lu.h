@@ -18,11 +18,14 @@ class BasisLu {
   // Returns false if B is numerically singular.
   bool factorize(const CscMatrix& a, const std::vector<int>& basis);
 
-  // Solves B x = b in place (b dense, size m).
-  void ftran(std::vector<double>& b) const;
+  // Solves B x = b in place (b dense, size m). The solve runs through
+  // scratch vectors owned by this factor and swaps the result into `b`, so
+  // it allocates nothing; the price is that FTRAN and BTRAN mutate the
+  // factor and one BasisLu must not be shared across threads.
+  void ftran(std::vector<double>& b);
 
-  // Solves B^T x = b in place.
-  void btran(std::vector<double>& b) const;
+  // Solves B^T x = b in place (same scratch contract as ftran).
+  void btran(std::vector<double>& b);
 
   // Product-form update: the basis column at position `pos` is replaced by a
   // column whose FTRAN image (spike) is `spike` (dense, size m, as returned
@@ -55,6 +58,9 @@ class BasisLu {
   // urow_[k]: row-p entries (column position j, value) active at step k.
   std::vector<std::vector<Entry>> lcol_, urow_;
   std::vector<Eta> etas_;
+  // FTRAN/BTRAN work vectors (size m once used). A solve fills one and
+  // swaps it with the caller's vector, whose old buffer becomes scratch.
+  std::vector<double> work_, work2_;
 };
 
 }  // namespace cgraf::milp

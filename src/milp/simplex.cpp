@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "milp/lu.h"
 #include "obs/event_log.h"
 #include "util/check.h"
 #include "util/clock.h"
@@ -44,18 +43,6 @@ constexpr double kPivotZero = 1e-9;   // |w_i| below this cannot pivot
 constexpr long kBlandTrigger = 2000;  // stalled iterations before Bland mode
 constexpr double kRhoZero = 1e-12;    // pricing-update row entries below this
                                       // are treated as exact zeros
-
-// All mutable state of one solve, kept together so helper lambdas stay small.
-struct Work {
-  int n = 0, m = 0, total = 0;
-  const CscMatrix* a = nullptr;
-  std::vector<double> lb, ub;        // size total
-  std::vector<double> cost;          // size total, minimization
-  std::vector<ColStatus> status;     // size total
-  std::vector<int> basis;            // size m: column at each basis position
-  std::vector<double> x;             // size total
-  BasisLu lu;
-};
 
 }  // namespace
 
@@ -113,13 +100,10 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
       .arg("warm", warm != nullptr);
 #endif
 
-  Work w;
-  w.n = n_;
-  w.m = m_;
-  w.total = n_ + m_;
-  w.a = &a_;
-  w.lb.resize(static_cast<size_t>(w.total));
-  w.ub.resize(static_cast<size_t>(w.total));
+  Work& w = work_;
+  const int total = n_ + m_;
+  w.lb.resize(static_cast<size_t>(total));
+  w.ub.resize(static_cast<size_t>(total));
   for (int j = 0; j < n_; ++j) {
     w.lb[static_cast<size_t>(j)] = lb[static_cast<size_t>(j)];
     w.ub[static_cast<size_t>(j)] = ub[static_cast<size_t>(j)];
@@ -128,7 +112,6 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     w.lb[static_cast<size_t>(n_ + r)] = slack_lb_[static_cast<size_t>(r)];
     w.ub[static_cast<size_t>(n_ + r)] = slack_ub_[static_cast<size_t>(r)];
   }
-  w.cost = cost_;
 
   LpResult res;
 
@@ -160,16 +143,16 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
 
   // --- Build initial basis: warm start when usable, slack basis otherwise.
   bool warmed = false;
-  if (warm != nullptr && static_cast<int>(warm->size()) == w.total) {
-    w.status = *warm;
+  if (warm != nullptr && static_cast<int>(warm->size()) == total) {
+    w.status.assign(warm->begin(), warm->end());
     w.basis.clear();
-    for (int j = 0; j < w.total; ++j) {
+    for (int j = 0; j < total; ++j) {
       if (w.status[static_cast<size_t>(j)] == ColStatus::kBasic)
         w.basis.push_back(j);
     }
     if (static_cast<int>(w.basis.size()) == m_ && timed_factorize()) {
       // Sanitize nonbasic statuses against the (possibly tightened) bounds.
-      for (int j = 0; j < w.total; ++j) {
+      for (int j = 0; j < total; ++j) {
         ColStatus& s = w.status[static_cast<size_t>(j)];
         if (s == ColStatus::kBasic) continue;
         if (s == ColStatus::kAtLower && w.lb[static_cast<size_t>(j)] == -kInf)
@@ -182,7 +165,7 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
   }
   res.warm_used = warmed;
   if (!warmed) {
-    w.status.assign(static_cast<size_t>(w.total), ColStatus::kAtLower);
+    w.status.assign(static_cast<size_t>(total), ColStatus::kAtLower);
     w.basis.resize(static_cast<size_t>(m_));
     for (int j = 0; j < n_; ++j) w.status[static_cast<size_t>(j)] = default_status(j);
     for (int r = 0; r < m_; ++r) {
@@ -193,7 +176,7 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     CGRAF_ASSERT(ok);  // slack basis is -I, always nonsingular
   }
 
-  w.x.assign(static_cast<size_t>(w.total), 0.0);
+  w.x.assign(static_cast<size_t>(total), 0.0);
   auto nonbasic_value = [&](int j) {
     switch (w.status[static_cast<size_t>(j)]) {
       case ColStatus::kAtLower: return w.lb[static_cast<size_t>(j)];
@@ -202,10 +185,11 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     }
   };
 
-  std::vector<double> rhs(static_cast<size_t>(m_));
+  std::vector<double>& rhs = w.rhs;
+  rhs.assign(static_cast<size_t>(m_), 0.0);
   auto recompute_basics = [&] {
     std::fill(rhs.begin(), rhs.end(), 0.0);
-    for (int j = 0; j < w.total; ++j) {
+    for (int j = 0; j < total; ++j) {
       if (w.status[static_cast<size_t>(j)] == ColStatus::kBasic) continue;
       const double v = nonbasic_value(j);
       w.x[static_cast<size_t>(j)] = v;
@@ -229,8 +213,11 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     return s;
   };
 
-  std::vector<double> y(static_cast<size_t>(m_));
-  std::vector<double> spike(static_cast<size_t>(m_));
+  std::vector<double>& y = w.y;
+  std::vector<double>& ya = w.ya;
+  std::vector<double>& spike = w.spike;
+  y.assign(static_cast<size_t>(m_), 0.0);
+  spike.assign(static_cast<size_t>(m_), 0.0);
   long stalled = 0;
   double last_progress_metric = kInf;
   bool last_phase1 = true;
@@ -240,19 +227,25 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
   // rank-one update from the BTRAN'd pivot row; it is only trusted while
   // `d_valid` holds, and is rebuilt exactly from scratch on phase changes,
   // refactorizations, and every pricing_refresh_interval updates.
-  std::vector<double> d(static_cast<size_t>(w.total), 0.0);
+  std::vector<double>& d = w.d;
+  d.assign(static_cast<size_t>(total), 0.0);
   bool d_valid = false;
   long updates_since_refresh = 0;
-  std::vector<int> bucket;
+  std::vector<int>& bucket = w.bucket;
+  bucket.clear();
   int rotate = 0;
-  std::vector<double> rho(static_cast<size_t>(m_));
-  std::vector<double> alpha(static_cast<size_t>(w.total), 0.0);
-  std::vector<char> alpha_mark(static_cast<size_t>(w.total), 0);
-  std::vector<int> alpha_touched;
+  std::vector<double>& rho = w.rho;
+  std::vector<double>& alpha = w.alpha;
+  std::vector<char>& alpha_mark = w.alpha_mark;
+  std::vector<int>& alpha_touched = w.alpha_touched;
+  rho.assign(static_cast<size_t>(m_), 0.0);
+  alpha.assign(static_cast<size_t>(total), 0.0);
+  alpha_mark.assign(static_cast<size_t>(total), 0);
+  alpha_touched.clear();
   const int bucket_cap =
       opts_.candidate_bucket > 0
           ? opts_.candidate_bucket
-          : std::clamp(w.total / 8, 16, 512);
+          : std::clamp(total / 8, 16, 512);
 
   auto eligible = [&](int j, double dj) {
     const ColStatus s = w.status[static_cast<size_t>(j)];
@@ -269,14 +262,15 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     std::fill(y.begin(), y.end(), 0.0);
     for (int i = 0; i < m_; ++i)
       y[static_cast<size_t>(i)] =
-          w.cost[static_cast<size_t>(w.basis[static_cast<size_t>(i)])];
+          cost_[static_cast<size_t>(w.basis[static_cast<size_t>(i)])];
     timed_btran(y);
     const double t0 = now_seconds();
-    for (int j = 0; j < w.total; ++j) {
+    a_rows_.transpose_product(y, ya);
+    for (int j = 0; j < total; ++j) {
       d[static_cast<size_t>(j)] =
           w.status[static_cast<size_t>(j)] == ColStatus::kBasic
               ? 0.0
-              : w.cost[static_cast<size_t>(j)] - a_.dot_col(j, y);
+              : cost_[static_cast<size_t>(j)] - ya[static_cast<size_t>(j)];
     }
     res.stats.pricing_seconds += now_seconds() - t0;
     d_valid = true;
@@ -290,13 +284,13 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     bucket.clear();
     const int scan_cap = 4 * bucket_cap;
     int scanned = 0;
-    for (int k = 0; k < w.total && static_cast<int>(bucket.size()) < scan_cap;
+    for (int k = 0; k < total && static_cast<int>(bucket.size()) < scan_cap;
          ++k) {
-      const int j = (rotate + k) % w.total;
+      const int j = (rotate + k) % total;
       scanned = k + 1;
       if (eligible(j, d[static_cast<size_t>(j)])) bucket.push_back(j);
     }
-    rotate = (rotate + scanned) % w.total;
+    rotate = (rotate + scanned) % total;
     if (static_cast<int>(bucket.size()) > bucket_cap) {
       std::nth_element(bucket.begin(), bucket.begin() + bucket_cap,
                        bucket.end(), [&](int a, int b) {
@@ -355,7 +349,12 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
           .arg("warm_used", res.warm_used)
           .arg("dual_used", res.dual_used)
           .arg("obj", res.obj)
-          .arg("seconds", res.seconds);
+          .arg("seconds", res.seconds)
+          .arg("pricing_seconds", res.stats.pricing_seconds)
+          .arg("btran_seconds", res.stats.btran_seconds)
+          .arg("ftran_seconds", res.stats.ftran_seconds)
+          .arg("factor_seconds", res.stats.factor_seconds)
+          .arg("dse_seconds", res.stats.dse_seconds);
     }
     return res;
   };
@@ -380,8 +379,9 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     // bound; a free or one-sided violator makes this basis unusable for
     // the dual loop and we fall back to primal, keeping the basis.
     bool repairable = true;
-    std::vector<int> repair;
-    for (int j = 0; j < w.total; ++j) {
+    std::vector<int>& repair = w.repair;
+    repair.clear();
+    for (int j = 0; j < total; ++j) {
       const ColStatus s = w.status[static_cast<size_t>(j)];
       if (s == ColStatus::kBasic) continue;
       if (w.lb[static_cast<size_t>(j)] == w.ub[static_cast<size_t>(j)])
@@ -426,7 +426,8 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
       // else starts approximate and converges via the periodic exact
       // recompute. Devex keeps cheap reference weights instead.
       const bool steepest = opts_.dual_pricing == DualPricing::kSteepestEdge;
-      std::vector<double> dw(static_cast<size_t>(m_), 1.0);
+      std::vector<double>& dw = w.dw;
+      dw.assign(static_cast<size_t>(m_), 1.0);
       bool weights_exact = steepest && !warmed;
       if (steepest && warmed && dse_exact_ && dse_basis_cols_ == w.basis) {
         dw = dse_weights_;
@@ -436,9 +437,9 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
       auto exact_weights = [&](std::vector<double>& out) {
         const double t0 = now_seconds();
         out.assign(static_cast<size_t>(m_), 0.0);
-        std::vector<double> e(static_cast<size_t>(m_));
+        std::vector<double>& e = w.unit;
         for (int i = 0; i < m_; ++i) {
-          std::fill(e.begin(), e.end(), 0.0);
+          e.assign(static_cast<size_t>(m_), 0.0);
           e[static_cast<size_t>(i)] = 1.0;
           w.lu.btran(e);
           double s2 = 0.0;
@@ -456,15 +457,11 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
         alpha_touched.clear();
       };
 
-      struct DualCand {
-        int j;
-        double ratio;  // d_j / (sigma * alpha_j), >= 0 at dual feasibility
-        double step;   // |alpha_j|
-      };
-      std::vector<DualCand> cands;
-      std::vector<int> flip_list;
-      std::vector<double> flip_rhs(static_cast<size_t>(m_));
-      std::vector<double> tau(static_cast<size_t>(m_));
+      std::vector<DualCand>& cands = w.cands;
+      std::vector<int>& flip_list = w.flip_list;
+      std::vector<double>& flip_rhs = w.flip_rhs;
+      std::vector<double>& tau = w.tau;
+      flip_rhs.assign(static_cast<size_t>(m_), 0.0);
       long dual_stalled = 0;
       double dual_last_infeas = kInf;
       long since_recompute = 0;
@@ -572,12 +569,16 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
                            std::max(0.0, d[static_cast<size_t>(j)] / at),
                            std::abs(at)});
         }
-        std::sort(cands.begin(), cands.end(),
-                  [](const DualCand& a, const DualCand& b) {
-                    if (a.ratio != b.ratio) return a.ratio < b.ratio;
-                    if (a.step != b.step) return a.step > b.step;
-                    return a.j < b.j;
-                  });
+        // Walk order: ratio ascending, then larger |alpha|, then index — a
+        // total order, so the heap pops candidates in exactly the sequence
+        // a full sort would produce, while the walk below usually stops
+        // after one or two of them.
+        const auto pops_later = [](const DualCand& a, const DualCand& b) {
+          if (a.ratio != b.ratio) return a.ratio > b.ratio;
+          if (a.step != b.step) return a.step < b.step;
+          return a.j > b.j;
+        };
+        std::make_heap(cands.begin(), cands.end(), pops_later);
 
         // --- Bound-flipping walk: boxed candidates passed while the
         // remaining violation stays positive flip bound-to-bound; the one
@@ -585,7 +586,9 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
         double remaining = std::abs(x_leave - bound_to);
         int enter = -1;
         flip_list.clear();
-        for (const DualCand& c : cands) {
+        for (auto heap_end = cands.end(); heap_end != cands.begin();) {
+          std::pop_heap(cands.begin(), heap_end, pops_later);
+          const DualCand& c = *--heap_end;
           const double l = w.lb[static_cast<size_t>(c.j)];
           const double u = w.ub[static_cast<size_t>(c.j)];
           const bool boxed = l != -kInf && u != kInf;
@@ -814,8 +817,8 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     }
     const double metric = phase1 ? total_infeasibility() : [&] {
       double o = 0.0;
-      for (int j = 0; j < w.total; ++j)
-        o += w.cost[static_cast<size_t>(j)] * w.x[static_cast<size_t>(j)];
+      for (int j = 0; j < total; ++j)
+        o += cost_[static_cast<size_t>(j)] * w.x[static_cast<size_t>(j)];
       return o;
     }();
     if (metric < last_progress_metric - 1e-11) {
@@ -848,19 +851,20 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
       } else {
         for (int i = 0; i < m_; ++i)
           y[static_cast<size_t>(i)] =
-              w.cost[static_cast<size_t>(w.basis[static_cast<size_t>(i)])];
+              cost_[static_cast<size_t>(w.basis[static_cast<size_t>(i)])];
       }
       timed_btran(y);
 
       const double t_price = now_seconds();
+      a_rows_.transpose_product(y, ya);
       double best_score = told;
-      for (int j = 0; j < w.total; ++j) {
+      for (int j = 0; j < total; ++j) {
         const ColStatus s = w.status[static_cast<size_t>(j)];
         if (s == ColStatus::kBasic) continue;
         if (w.lb[static_cast<size_t>(j)] == w.ub[static_cast<size_t>(j)])
           continue;  // fixed, can never move
-        const double cj = phase1 ? 0.0 : w.cost[static_cast<size_t>(j)];
-        const double dj = cj - a_.dot_col(j, y);
+        const double cj = phase1 ? 0.0 : cost_[static_cast<size_t>(j)];
+        const double dj = cj - ya[static_cast<size_t>(j)];
         bool elig = false;
         if (s == ColStatus::kAtLower) elig = dj < -told;
         else if (s == ColStatus::kAtUpper) elig = dj > told;

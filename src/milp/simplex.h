@@ -9,6 +9,7 @@
 #include <atomic>
 #include <vector>
 
+#include "milp/lu.h"
 #include "milp/model.h"
 #include "milp/sparse.h"
 
@@ -223,6 +224,36 @@ class SimplexEngine {
   std::vector<int> dse_basis_cols_;
   std::vector<double> dse_weights_;
   bool dse_exact_ = false;
+
+  // One dual ratio-test candidate.
+  struct DualCand {
+    int j;
+    double ratio;  // d_j / (sigma * alpha_j), >= 0 at dual feasibility
+    double step;   // |alpha_j|
+  };
+
+  // All mutable state of one solve. The engine owns it so that repeated
+  // solves (B&B nodes, probe chains, dive rounds) reuse its buffers: solve()
+  // re-initializes every vector with assign(), which keeps the capacity.
+  // Copying an engine copies its scratch too, so B&B workers each own one.
+  struct Work {
+    std::vector<double> lb, ub;        // size n+m
+    std::vector<ColStatus> status;     // size n+m
+    std::vector<int> basis;            // size m: column at each position
+    std::vector<double> x;             // size n+m
+    BasisLu lu;
+    std::vector<double> rhs, y, spike, rho;  // size m
+    std::vector<double> ya;            // y^T A for full pricing, size n+m
+    std::vector<double> d;             // maintained reduced costs, size n+m
+    std::vector<double> alpha;         // pivot-row scatter, size n+m
+    std::vector<char> alpha_mark;      // size n+m
+    std::vector<int> alpha_touched, bucket;
+    // Dual loop only.
+    std::vector<int> repair, flip_list;
+    std::vector<DualCand> cands;
+    std::vector<double> dw, flip_rhs, tau, unit;  // size m
+  };
+  Work work_;
 };
 
 // One-shot convenience wrapper.

@@ -24,6 +24,19 @@ double CscMatrix::dot_col(int j, const std::vector<double>& y) const {
   return acc;
 }
 
+void RowMajorMatrix::transpose_product(const std::vector<double>& y,
+                                       std::vector<double>& out) const {
+  CGRAF_DCHECK(static_cast<int>(y.size()) == rows);
+  out.assign(static_cast<size_t>(cols), 0.0);
+  for (int i = 0; i < rows; ++i) {
+    const double yi = y[static_cast<size_t>(i)];
+    if (yi == 0.0) continue;
+    for (int q = begin(i); q < end(i); ++q)
+      out[static_cast<size_t>(col_idx[static_cast<size_t>(q)])] +=
+          value[static_cast<size_t>(q)] * yi;
+  }
+}
+
 RowMajorMatrix build_row_major(const CscMatrix& a) {
   RowMajorMatrix r;
   r.rows = a.rows;

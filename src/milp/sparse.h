@@ -41,6 +41,14 @@ struct RowMajorMatrix {
 
   int begin(int i) const { return row_start[static_cast<size_t>(i)]; }
   int end(int i) const { return row_start[static_cast<size_t>(i) + 1]; }
+
+  // out = y^T A (out resized to `cols`), scattering only the rows where y
+  // is nonzero. Rows are visited in ascending order, so for a mirror of a
+  // canonical CscMatrix every out[j] sums the same terms in the same order
+  // as CscMatrix::dot_col(j, y) — bit-identical, since a skipped y_i == 0
+  // term never changes a partial sum.
+  void transpose_product(const std::vector<double>& y,
+                         std::vector<double>& out) const;
 };
 
 RowMajorMatrix build_row_major(const CscMatrix& a);

@@ -37,6 +37,12 @@ struct PostmortemReport {
   long lp_warm_used = 0;
   long lp_dual_used = 0;
   double lp_seconds = 0.0;
+  // Per-kernel seconds (milp::LpStageStats), summed like the counters.
+  double lp_pricing_seconds = 0.0;
+  double lp_btran_seconds = 0.0;
+  double lp_ftran_seconds = 0.0;
+  double lp_factor_seconds = 0.0;
+  double lp_dse_seconds = 0.0;
 
   // --- bnb.* -------------------------------------------------------------
   struct DepthRow {

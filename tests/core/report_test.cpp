@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/model_builder.h"
+#include "core/two_step.h"
+
 namespace cgraf::core {
 namespace {
 
@@ -147,6 +150,47 @@ TEST(Report, SummedStageStatsReachSolverStatsJson) {
   EXPECT_NE(table.find("bound flips"), std::string::npos);
   EXPECT_NE(table.find("LP algorithm"), std::string::npos);
   EXPECT_NE(table.find("dual"), std::string::npos);
+}
+
+// A dive that commits every op on its own never runs the residual branch &
+// bound, so there is no MIP status to report; a one-shot ILP reports its own.
+TEST(Report, MipStatusIsNotRunForDiveOnlySolves) {
+  Design design{Fabric(4, 4), 2, {}, {}};
+  Floorplan base;
+  RemapModelSpec spec;
+  for (int i = 0; i < 8; ++i) {
+    Operation op;
+    op.id = i;
+    op.kind = OpKind::kMux;
+    op.context = i % 2;
+    design.ops.push_back(op);
+    base.op_to_pe.push_back(i / 2);  // stacked: the dive must spread them
+    spec.candidates.emplace_back();
+    for (int pe = 0; pe < design.fabric.num_pes(); ++pe)
+      spec.candidates.back().push_back(pe);
+  }
+  spec.design = &design;
+  spec.base = &base;
+  spec.frozen.assign(design.ops.size(), 0);
+  spec.st_target = 3.14 / 5.0 + 1e-6;  // one DMU op per PE
+  const RemapModel rm = build_remap_model(spec);
+
+  const TwoStepResult dive = solve_two_step(rm, {});
+  ASSERT_EQ(dive.status, milp::SolveStatus::kOptimal);
+  ASSERT_EQ(dive.stats.mip_nodes, 0);
+  EXPECT_FALSE(dive.stats.mip_status.has_value());
+  EXPECT_NE(solver_stats_json(dive.stats).find("\"mip_status\":\"not-run\""),
+            std::string::npos);
+  const std::string table = format_solver_stats(dive.stats);
+  EXPECT_NE(table.find("not-run"), std::string::npos);
+  EXPECT_EQ(table.find("numerical-error"), std::string::npos);
+
+  TwoStepOptions ilp;
+  ilp.strategy = RoundingStrategy::kNone;
+  const TwoStepResult exact = solve_two_step(rm, ilp);
+  ASSERT_EQ(exact.status, milp::SolveStatus::kOptimal);
+  EXPECT_NE(solver_stats_json(exact.stats).find("\"mip_status\":\"optimal\""),
+            std::string::npos);
 }
 
 TEST(Report, RunBenchmarkProducesBothVariants) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "core/remapper.h"
@@ -25,6 +26,28 @@ PostmortemReport analyze_ok(const std::string& jsonl) {
   std::string error;
   EXPECT_TRUE(analyze_events(jsonl, &report, &error)) << error;
   return report;
+}
+
+// Every lp.solve record carries its solve's LpStageStats, so the analyzer's
+// LP-engine sums must reproduce the in-process totals: counters exactly,
+// kernel seconds up to the event log's 12-significant-digit rounding.
+void expect_lp_stage_totals(const PostmortemReport& report,
+                            const milp::LpStageStats& stage) {
+  EXPECT_EQ(report.lp_phase1_iterations, stage.phase1_iterations);
+  EXPECT_EQ(report.lp_dual_iterations, stage.dual_iterations);
+  EXPECT_EQ(report.lp_bound_flips, stage.bound_flips);
+  EXPECT_EQ(report.lp_refactorizations, stage.refactorizations);
+  EXPECT_EQ(report.lp_dual_fallbacks, stage.dual_fallbacks);
+  const auto expect_seconds = [](double got, double want, const char* what) {
+    EXPECT_NEAR(got, want, 1e-9 * (1.0 + want)) << what;
+  };
+  expect_seconds(report.lp_pricing_seconds, stage.pricing_seconds, "pricing");
+  expect_seconds(report.lp_btran_seconds, stage.btran_seconds, "btran");
+  expect_seconds(report.lp_ftran_seconds, stage.ftran_seconds, "ftran");
+  expect_seconds(report.lp_factor_seconds, stage.factor_seconds, "factor");
+  expect_seconds(report.lp_dse_seconds, stage.dse_seconds, "dse");
+  // A run that pivots at all spends measurable time factorizing.
+  EXPECT_GT(report.lp_factor_seconds, 0.0);
 }
 
 milp::Model coupled_binary_model(std::uint64_t seed, int n) {
@@ -61,6 +84,7 @@ TEST(Postmortem, BnbTotalsMatchMipResultExactly) {
   // must agree with the per-node sum.
   EXPECT_EQ(report.lp_iterations, res.lp_iterations);
   EXPECT_EQ(report.lp_solves, report.bnb_nodes);
+  expect_lp_stage_totals(report, res.lp_stats);
   // Depth table covers every node exactly once.
   long depth_nodes = 0, depth_iters = 0;
   for (const auto& [depth, row] : report.by_depth) {
@@ -109,6 +133,8 @@ TEST(Postmortem, StSearchProbeTotalsMatchResultExactly) {
   EXPECT_EQ(report.probe_warm_hits, static_cast<long>(r.warm_hits));
   EXPECT_EQ(report.probe_fallbacks, static_cast<long>(r.basis_fallbacks));
   EXPECT_EQ(report.probe_rebuilds, static_cast<long>(r.model_rebuilds));
+  EXPECT_EQ(report.lp_iterations, r.lp_iterations);
+  expect_lp_stage_totals(report, r.lp_stage);
   // The probe chain reconstructs in emission order with sane timestamps.
   ASSERT_EQ(static_cast<long>(report.probe_chain.size()), report.probes);
   double last_t = -1.0;

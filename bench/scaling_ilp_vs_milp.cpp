@@ -94,9 +94,9 @@ Row run_one(const workloads::BenchmarkSpec& spec, double ilp_budget_s,
 
   // Run Step 1's binary search twice — incremental warm-started probes vs
   // the legacy cold rebuild per probe — to measure what the probe sessions
-  // buy. ILP-confirmed probes: the pure-LP search short-circuits at ST_low
-  // (a fractional assignment balances perfectly), so the integer-confirmed
-  // search is the one that actually bisects.
+  // buy. ILP-confirmed probes: the default LP oracle is answered in closed
+  // form at ST_low (a fractional assignment balances perfectly) without a
+  // single probe, so the integer-confirmed search is the one that bisects.
   core::StTargetOptions st_opts;
   st_opts.confirm_with_ilp = true;
   st_opts.warm_probes = false;
@@ -113,7 +113,7 @@ Row run_one(const workloads::BenchmarkSpec& spec, double ilp_budget_s,
     // Expected occasionally with ILP confirmation: the rounding dive is
     // path-dependent, so a warm-started probe can round a degenerate LP
     // optimum differently and flip a probe verdict. Both searches certify
-    // every accepted probe; pure-LP probes (the default) are identical.
+    // every accepted probe.
     std::fprintf(stderr,
                  "note: warm/cold ILP-confirmed st_target differ on %s "
                  "(%.4f vs %.4f)\n",

@@ -102,8 +102,9 @@ std::string format_fig5(const std::vector<BenchmarkRun>& runs) {
 
 namespace {
 
-const char* mip_status_name(const TwoStepStats& stats) {
-  return stats.mip_status ? milp::to_string(*stats.mip_status) : "not-run";
+// "not-run" when the stage solved nothing.
+const char* status_name(const std::optional<milp::SolveStatus>& status) {
+  return status ? milp::to_string(*status) : "not-run";
 }
 
 }  // namespace
@@ -127,8 +128,8 @@ std::string format_solver_stats(const TwoStepStats& stats) {
   table.add_row({"dive rounds", std::to_string(stats.dive_rounds)});
   table.add_row({"vars fixed", std::to_string(stats.vars_fixed) + "/" +
                                    std::to_string(stats.vars_total)});
-  table.add_row({"LP status", milp::to_string(stats.lp_status)});
-  table.add_row({"MIP status", mip_status_name(stats)});
+  table.add_row({"LP status", status_name(stats.lp_status)});
+  table.add_row({"MIP status", status_name(stats.mip_status)});
   table.add_row({"LP time", fmt_double(stats.lp_seconds, 4) + "s"});
   table.add_row({"MIP time", fmt_double(stats.mip_seconds, 4) + "s"});
   table.add_row({"fallback (unfixed dive)",
@@ -170,8 +171,8 @@ std::string solver_stats_json(const TwoStepStats& stats) {
       .field("vars_total", stats.vars_total)
       .field("lp_seconds", stats.lp_seconds)
       .field("mip_seconds", stats.mip_seconds)
-      .field("lp_status", milp::to_string(stats.lp_status))
-      .field("mip_status", mip_status_name(stats))
+      .field("lp_status", status_name(stats.lp_status))
+      .field("mip_status", status_name(stats.mip_status))
       .field("fallback_unfixed", stats.fallback_unfixed)
       .field("algorithm", milp::to_string(stats.lp_algorithm))
       .field("dual_iterations", s.dual_iterations)

@@ -7,11 +7,86 @@
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/check.h"
 #include "util/clock.h"
+#include "verify/certify.h"
 #include "verify/input_lint.h"
 
 namespace cgraf::core {
+namespace {
+
+// Step 1's model shape at `st_target`: delay-unaware, so every op is free
+// and every PE is a candidate.
+RemapModelSpec step1_spec(const Design& design, const Floorplan& baseline,
+                          double st_target) {
+  const int n_ops = design.num_ops();
+  RemapModelSpec spec;
+  spec.design = &design;
+  spec.base = &baseline;
+  spec.frozen.assign(static_cast<std::size_t>(n_ops), 0);
+  spec.candidates.resize(static_cast<std::size_t>(n_ops));
+  for (auto& c : spec.candidates) {
+    c.resize(static_cast<std::size_t>(design.fabric.num_pes()));
+    for (int pe = 0; pe < design.fabric.num_pes(); ++pe)
+      c[static_cast<std::size_t>(pe)] = pe;
+  }
+  spec.monitored = nullptr;  // no CP / path-delay constraints in Step 1
+  spec.st_target = st_target;
+  return spec;
+}
+
+// Independent check of the closed form: the uniform point x[o][p] = 1/P
+// must satisfy the Step-1 model built at ST_low (integrality waived).
+bool uniform_point_certifies(const Design& design, const Floorplan& baseline,
+                             double st_low,
+                             const verify::CertifyOptions& tol) {
+  obs::Span span("st_target.certify");
+  const RemapModel rm =
+      build_remap_model(step1_spec(design, baseline, st_low));
+  bool ok = !rm.trivially_infeasible;
+  if (ok) {
+    std::vector<double> x(static_cast<std::size_t>(rm.model.num_vars()), 0.0);
+    const double share = 1.0 / static_cast<double>(design.fabric.num_pes());
+    for (const auto& vars : rm.assign_vars)
+      for (const int v : vars) x[static_cast<std::size_t>(v)] = share;
+    ok = verify::certify_solution(rm.model, x, tol, /*relaxed=*/true).ok;
+  }
+  span.arg("ok", ok);
+  return ok;
+}
+
+// Publishes a finished search: metrics, the search span's arguments and the
+// st.search_end record.
+void finish_search(const StTargetResult& res, bool closed_form,
+                   obs::Span& search_span, obs::EventLog* events) {
+  obs::Metrics::global().counter("st_target.warm_hits").add(res.warm_hits);
+  obs::Metrics::global()
+      .counter("st_target.basis_fallbacks")
+      .add(res.basis_fallbacks);
+  obs::Metrics::global().counter("st_target.dual_solves").add(res.dual_solves);
+  obs::Metrics::global()
+      .counter("st_target.dual_iterations")
+      .add(res.lp_stage.dual_iterations);
+  obs::Metrics::global()
+      .counter("st_target.bound_flips")
+      .add(res.lp_stage.bound_flips);
+  search_span.arg("st_target", res.st_target)
+      .arg("st_low", res.st_low)
+      .arg("st_up", res.st_up)
+      .arg("probes", static_cast<long>(res.probes))
+      .arg("warm_hits", static_cast<long>(res.warm_hits))
+      .arg("basis_fallbacks", static_cast<long>(res.basis_fallbacks))
+      .arg("dual_solves", static_cast<long>(res.dual_solves))
+      .arg("closed_form", closed_form);
+  obs::Event(events, "st.search_end")
+      .arg("st_target", res.st_target)
+      .arg("probes", static_cast<long>(res.probes))
+      .arg("warm_hits", static_cast<long>(res.warm_hits))
+      .arg("basis_fallbacks", static_cast<long>(res.basis_fallbacks))
+      .arg("lp_iterations", res.lp_iterations)
+      .arg("closed_form", closed_form);
+}
+
+}  // namespace
 
 StTargetResult find_st_target(const Design& design, const Floorplan& baseline,
                               const StTargetOptions& opts) {
@@ -36,47 +111,35 @@ StTargetResult find_st_target(const Design& design, const Floorplan& baseline,
   obs::Event(events, "st.search_begin")
       .arg("st_low", res.st_low)
       .arg("st_up", res.st_up);
-  if (res.st_up <= 0.0) {
-    res.ok = true;  // no stress at all; nothing to balance
-    res.st_target = 0.0;
-    obs::Event(events, "st.search_end")
-        .arg("st_target", res.st_target)
-        .arg("probes", static_cast<long>(res.probes))
-        .arg("warm_hits", 0L)
-        .arg("basis_fallbacks", 0L)
-        .arg("lp_iterations", res.lp_iterations);
+
+  // The LP relaxation is feasible at ST_low by construction: the uniform
+  // point x[o][p] = 1/P meets every assignment row (sum 1), every
+  // exclusivity row (n_c / P <= 1, the baseline proves n_c <= P) and every
+  // stress row (sum_o s_o / P is ST_avg). So LP-mode Step 1 runs no
+  // simplex; a stress-free design needs none in either mode.
+  if (!opts.confirm_with_ilp || res.st_up <= 0.0) {
+    res.ok = true;
+    res.st_target = res.st_low;
+    if (opts.solver.verify.enabled &&
+        !uniform_point_certifies(design, baseline, res.st_low,
+                                 opts.solver.verify.tol)) {
+      ++res.certify_failures;
+      obs::Metrics::global().counter("verify.solution_rejections").add(1);
+      res.st_target = res.st_up;  // the baseline itself proves ST_up
+    }
+    finish_search(res, /*closed_form=*/true, search_span, events);
     return res;
   }
 
-  // Step 1 is delay-unaware: every op is free and every PE is a candidate.
-  const int n_ops = design.num_ops();
-  std::vector<char> frozen(static_cast<std::size_t>(n_ops), 0);
-  std::vector<std::vector<int>> candidates(static_cast<std::size_t>(n_ops));
-  for (auto& c : candidates) {
-    c.resize(static_cast<std::size_t>(design.fabric.num_pes()));
-    for (int pe = 0; pe < design.fabric.num_pes(); ++pe)
-      c[static_cast<std::size_t>(pe)] = pe;
-  }
-
-  // All probes share one spec (only st_target differs), so the session
-  // builds the model once and patches the stress rows between probes.
-  RemapModelSpec spec;
-  spec.design = &design;
-  spec.base = &baseline;
-  spec.frozen = std::move(frozen);
-  spec.candidates = std::move(candidates);
-  spec.monitored = nullptr;  // no CP / path-delay constraints in Step 1
-  // LP-only probes are pure feasibility: the null objective lets the
-  // simplex stop as soon as phase 1 closes.
-  spec.objective = opts.confirm_with_ilp ? ObjectiveMode::kMinPerturbation
-                                         : ObjectiveMode::kNull;
-  TwoStepOptions solver = opts.solver;
-  solver.lp_only = !opts.confirm_with_ilp;
-  ProbeSession session(std::move(spec), solver, opts.warm_probes);
+  // ILP-confirmed probes: all share one spec (only st_target differs), so
+  // the session builds the model once and patches the stress rows between
+  // probes.
+  ProbeSession session(step1_spec(design, baseline, 0.0), opts.solver,
+                       opts.warm_probes);
 
   auto feasible = [&](double target) {
     // One span per binary-search probe, annotated with the probed target
-    // and whether the (LP or ILP) feasibility oracle accepted it.
+    // and whether the ILP feasibility oracle accepted it.
     obs::Span probe_span("st_target.probe");
     probe_span.arg("st_target", target);
     const double t_probe = now_seconds();
@@ -85,14 +148,14 @@ StTargetResult find_st_target(const Design& design, const Floorplan& baseline,
     res.lp_iterations += r.stats.lp_iterations;
     res.lp_stage.add(r.stats.lp_stage);
     bool ok = r.status == milp::SolveStatus::kOptimal;
-    // ILP-confirmed probes also get the cgrra-level certificate: the stress
+    // Accepted probes also get the cgrra-level certificate: the stress
     // bound must hold on the decoded floorplan itself, not just the model.
-    if (ok && opts.confirm_with_ilp && solver.verify.enabled) {
+    if (ok && opts.solver.verify.enabled) {
       verify::FloorplanSpec fspec;
       fspec.design = &design;
       fspec.st_target = target;
-      const verify::Certificate cert =
-          verify::certify_floorplan(fspec, r.floorplan, solver.verify.tol);
+      const verify::Certificate cert = verify::certify_floorplan(
+          fspec, r.floorplan, opts.solver.verify.tol);
       if (!cert.ok) {
         ++res.certify_failures;
         obs::Metrics::global().counter("verify.floorplan_rejections").add(1);
@@ -110,62 +173,35 @@ StTargetResult find_st_target(const Design& design, const Floorplan& baseline,
     return ok;
   };
 
-  const auto finish = [&] {
-    const ProbeSessionStats& ps = session.stats();
-    res.warm_hits = ps.warm_hits;
-    res.basis_fallbacks = ps.basis_fallbacks;
-    res.model_rebuilds = ps.model_rebuilds;
-    res.dual_solves = ps.dual_solves;
-    obs::Metrics::global().counter("st_target.warm_hits").add(ps.warm_hits);
-    obs::Metrics::global()
-        .counter("st_target.basis_fallbacks")
-        .add(ps.basis_fallbacks);
-    obs::Metrics::global().counter("st_target.dual_solves").add(ps.dual_solves);
-    obs::Metrics::global()
-        .counter("st_target.dual_iterations")
-        .add(res.lp_stage.dual_iterations);
-    obs::Metrics::global()
-        .counter("st_target.bound_flips")
-        .add(res.lp_stage.bound_flips);
-    search_span.arg("st_target", res.st_target)
-        .arg("st_low", res.st_low)
-        .arg("st_up", res.st_up)
-        .arg("probes", static_cast<long>(res.probes))
-        .arg("warm_hits", static_cast<long>(ps.warm_hits))
-        .arg("basis_fallbacks", static_cast<long>(ps.basis_fallbacks))
-        .arg("dual_solves", static_cast<long>(ps.dual_solves));
-    obs::Event(events, "st.search_end")
-        .arg("st_target", res.st_target)
-        .arg("probes", static_cast<long>(res.probes))
-        .arg("warm_hits", static_cast<long>(ps.warm_hits))
-        .arg("basis_fallbacks", static_cast<long>(ps.basis_fallbacks))
-        .arg("lp_iterations", res.lp_iterations);
-  };
-
   double lo = res.st_low;
   double hi = res.st_up;  // the baseline itself proves feasibility here
-  // The average is usually infeasible (perfect balance is rarely integral);
-  // probe it once so a feasible ST_low short-circuits the search.
-  if (feasible(lo)) {
-    res.ok = true;
-    res.st_target = lo;
-    finish();
-    return res;
-  }
-  const double tol = std::max(1e-9, opts.tol_frac * (res.st_up - res.st_low));
   double best = hi;
-  for (int it = 0; it < opts.max_iters && hi - lo > tol; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (feasible(mid)) {
-      best = mid;
-      hi = mid;
-    } else {
-      lo = mid;
+  // The average is usually infeasible for the ILP (perfect balance is
+  // rarely integral); probe it once so a feasible ST_low short-circuits the
+  // search.
+  if (feasible(lo)) {
+    best = lo;
+  } else {
+    const double tol =
+        std::max(1e-9, opts.tol_frac * (res.st_up - res.st_low));
+    for (int it = 0; it < opts.max_iters && hi - lo > tol; ++it) {
+      const double mid = 0.5 * (lo + hi);
+      if (feasible(mid)) {
+        best = mid;
+        hi = mid;
+      } else {
+        lo = mid;
+      }
     }
   }
   res.ok = true;
   res.st_target = best;
-  finish();
+  const ProbeSessionStats& ps = session.stats();
+  res.warm_hits = ps.warm_hits;
+  res.basis_fallbacks = ps.basis_fallbacks;
+  res.model_rebuilds = ps.model_rebuilds;
+  res.dual_solves = ps.dual_solves;
+  finish_search(res, /*closed_form=*/false, search_span, events);
   return res;
 }
 

@@ -81,7 +81,9 @@ struct TwoStepStats {
   int vars_total = 0;
   double lp_seconds = 0.0;
   double mip_seconds = 0.0;
-  milp::SolveStatus lp_status = milp::SolveStatus::kNumericalError;
+  // Status of the last LP solved; empty when none ran (e.g. a local-search
+  // attempt, or the pure one-shot ILP strategy).
+  std::optional<milp::SolveStatus> lp_status;
   // Status of the last residual branch & bound; empty when none ran (a
   // dive that finished on its own, or an lp_only solve).
   std::optional<milp::SolveStatus> mip_status;

@@ -92,6 +92,7 @@ void fold_record(const JsonValue& rec, PostmortemReport& r) {
   }
   if (type == "st.search_end") {
     ++r.st_searches;
+    if (rec.bool_or("closed_form", false)) ++r.st_closed_form;
     return;
   }
   if (type == "twostep.solve") {
@@ -304,7 +305,9 @@ std::string PostmortemReport::to_text() const {
       ls_searches > 0 || portfolio_races > 0) {
     out += "--- pipeline ---\n";
     AsciiTable t({"metric", "count"});
-    t.add_row({"st_target searches", fmt_long(st_searches)});
+    t.add_row({"st_target searches",
+               fmt_long(st_searches) + " (" + fmt_long(st_closed_form) +
+                   " closed-form)"});
     t.add_row({"two-step solves", fmt_long(twostep_solves)});
     t.add_row({"remap runs", fmt_long(remap_runs)});
     t.add_row({"remap attempts",
@@ -417,6 +420,7 @@ std::string PostmortemReport::to_json() const {
 
   w.key("pipeline").begin_object();
   w.field("st_searches", st_searches);
+  w.field("st_closed_form", st_closed_form);
   w.field("twostep_solves", twostep_solves);
   w.field("remap_runs", remap_runs);
   w.field("remap_attempts", remap_attempts);

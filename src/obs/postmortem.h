@@ -88,6 +88,7 @@ struct PostmortemReport {
 
   // --- st.* / twostep.solve / remap.* ------------------------------------
   long st_searches = 0;           // st.search_end records
+  long st_closed_form = 0;        // ... answered without probes
   long twostep_solves = 0;
   long remap_runs = 0;            // remap.end records
   long remap_attempts = 0;

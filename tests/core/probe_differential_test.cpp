@@ -1,8 +1,10 @@
 // Differential harness for the incremental ST_target probes.
 //
-// Two layers, both over seeded random fabric/context corpora:
-//  - find_st_target with warm probes vs the forced-cold escape hatch must
-//    produce the same final target and the same probe-by-probe log;
+// Two layers over seeded random fabric/context corpora (the first also over
+// the Table-I suite):
+//  - find_st_target's closed-form Step 1 must equal ST_low, the target at
+//    which the LP relaxation (solved warm-session and forced-cold) is
+//    feasible;
 //  - a ProbeSession with the remapper's presearch shape (frozen critical
 //    paths + monitored-path budgets, LP-only kNull probes) must answer a
 //    shared bisection ladder verdict-for-verdict like a cold session that
@@ -144,35 +146,50 @@ TEST(ProbeDifferential, SessionMatchesColdRebuildOnBisectionLadders) {
               probes_total, warm_hits_total, infeasible_total);
 }
 
-TEST(ProbeDifferential, FindStTargetWarmAndColdAreIdentical) {
-  // Step 1 proper (no path constraints): LP probes of the all-candidates
-  // model accept ST_low immediately — a fractional assignment spreads
-  // stress perfectly — so these searches are short; the point is that the
-  // warm path takes the exact same log, including the short-circuit.
-  for (const auto& spec : corpus(50)) {
+TEST(ProbeDifferential, ClosedFormStTargetMatchesTheLp) {
+  // Step 1 proper (no path constraints): the LP relaxation of the
+  // all-candidates model is feasible at ST_low — the uniform point
+  // x[o][p] = 1/P spreads stress perfectly — so find_st_target answers it
+  // in closed form. The LP, solved warm-session and forced-cold, stays the
+  // reference that the closed form's answer is right.
+  std::vector<workloads::BenchmarkSpec> specs = corpus(50);
+  for (const auto& spec : workloads::table1_specs(false)) specs.push_back(spec);
+  for (const auto& spec : specs) {
     const auto bench = workloads::generate_benchmark(spec);
-    StTargetOptions warm_opts;
-    warm_opts.warm_probes = true;
-    const StTargetResult warm =
-        find_st_target(bench.design, bench.baseline, warm_opts);
-    StTargetOptions cold_opts;
-    cold_opts.warm_probes = false;
-    const StTargetResult cold =
-        find_st_target(bench.design, bench.baseline, cold_opts);
+    const StressMap stress = compute_stress(bench.design, bench.baseline);
+    const double st_low = stress.avg_accumulated();
 
-    ASSERT_EQ(warm.ok, cold.ok) << spec.name;
-    EXPECT_EQ(warm.st_target, cold.st_target) << spec.name;
-    EXPECT_EQ(warm.probes, cold.probes) << spec.name;
-    ASSERT_EQ(warm.probe_log.size(), cold.probe_log.size()) << spec.name;
-    for (std::size_t i = 0; i < warm.probe_log.size(); ++i) {
-      EXPECT_EQ(warm.probe_log[i].st_target, cold.probe_log[i].st_target)
-          << spec.name << " probe " << i;
-      EXPECT_EQ(warm.probe_log[i].feasible, cold.probe_log[i].feasible)
-          << spec.name << " probe " << i;
+    const int n_ops = bench.design.num_ops();
+    const int n_pes = bench.design.fabric.num_pes();
+    RemapModelSpec mspec;
+    mspec.design = &bench.design;
+    mspec.base = &bench.baseline;
+    mspec.frozen.assign(static_cast<std::size_t>(n_ops), 0);
+    mspec.candidates.assign(static_cast<std::size_t>(n_ops), {});
+    for (auto& c : mspec.candidates)
+      for (int pe = 0; pe < n_pes; ++pe) c.push_back(pe);
+    mspec.objective = ObjectiveMode::kNull;
+    TwoStepOptions solver;
+    solver.lp_only = true;
+    for (const bool warm : {true, false}) {
+      ProbeSession session(mspec, solver, warm);
+      const TwoStepResult lp = session.solve(st_low);
+      EXPECT_EQ(lp.status, milp::SolveStatus::kOptimal)
+          << spec.name << (warm ? " warm" : " cold") << " LP at ST_low "
+          << milp::to_string(lp.status);
     }
-    EXPECT_EQ(cold.warm_hits, 0) << spec.name;
-    EXPECT_EQ(cold.basis_fallbacks, 0) << spec.name;
-    EXPECT_EQ(cold.model_rebuilds, cold.probes) << spec.name;
+
+    for (const bool warm : {true, false}) {
+      StTargetOptions opts;
+      opts.warm_probes = warm;
+      const StTargetResult r =
+          find_st_target(bench.design, bench.baseline, opts);
+      ASSERT_TRUE(r.ok) << spec.name;
+      EXPECT_EQ(r.st_low, st_low) << spec.name;
+      EXPECT_EQ(r.st_target, st_low) << spec.name;
+      EXPECT_EQ(r.probes, 0) << spec.name;
+      EXPECT_EQ(r.lp_iterations, 0) << spec.name;
+    }
   }
 }
 

@@ -193,6 +193,22 @@ TEST(Report, MipStatusIsNotRunForDiveOnlySolves) {
             std::string::npos);
 }
 
+// Stats of a stage that solved nothing (a local-search attempt, or no
+// attempt at all) report neither LP nor MIP status as an error.
+TEST(Report, LpStatusIsNotRunWhenNoLpRan) {
+  const TwoStepStats none;
+  EXPECT_FALSE(none.lp_status.has_value());
+  const std::string json = solver_stats_json(none);
+  EXPECT_NE(json.find("\"lp_status\":\"not-run\""), std::string::npos);
+  EXPECT_NE(json.find("\"mip_status\":\"not-run\""), std::string::npos);
+  const std::string table = format_solver_stats(none);
+  EXPECT_EQ(table.find("numerical-error"), std::string::npos);
+  const std::size_t row = table.find("LP status");
+  ASSERT_NE(row, std::string::npos);
+  EXPECT_NE(table.substr(row, table.find('\n', row) - row).find("not-run"),
+            std::string::npos);
+}
+
 TEST(Report, RunBenchmarkProducesBothVariants) {
   workloads::BenchmarkSpec spec;
   spec.name = "rb";

@@ -59,12 +59,67 @@ TEST(StTarget, LowerBoundIsActuallyFeasibleDelayUnaware) {
   EXPECT_LE(r.st_target, r.st_up);
 }
 
-TEST(StTarget, TighterToleranceNeverWorsensTheBound) {
+TEST(StTarget, LpModeIsAnsweredInClosedForm) {
+  // The uniform point x[o][p] = 1/P is LP-feasible at ST_low, so the
+  // default search returns ST_low without a probe, a model or an LP.
   const auto bench =
-      workloads::generate_benchmark(workloads::table1_specs(false)[4]);
+      workloads::generate_benchmark(workloads::table1_specs(false)[2]);
+  for (const bool warm : {true, false}) {
+    StTargetOptions opts;
+    opts.warm_probes = warm;
+    const StTargetResult r =
+        find_st_target(bench.design, bench.baseline, opts);
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.st_target, r.st_low);
+    EXPECT_EQ(r.probes, 0);
+    EXPECT_EQ(r.lp_iterations, 0);
+    EXPECT_EQ(r.model_rebuilds, 0);
+    EXPECT_EQ(r.warm_hits, 0);
+    EXPECT_TRUE(r.probe_log.empty());
+  }
+}
+
+TEST(StTarget, VerifyModeCertifiesTheUniformPoint) {
+  // Certifies the closed form's uniform point against the real Step-1 model
+  // built at ST_low.
+  for (int i = 0; i <= 5; ++i) {
+    const auto bench =
+        workloads::generate_benchmark(workloads::table1_specs(false)[i]);
+    StTargetOptions opts;
+    opts.solver.verify.enabled = true;
+    const StTargetResult r =
+        find_st_target(bench.design, bench.baseline, opts);
+    ASSERT_TRUE(r.ok) << i;
+    EXPECT_EQ(r.st_target, r.st_low) << i;
+    EXPECT_EQ(r.certify_failures, 0) << i;
+    EXPECT_EQ(r.probes, 0) << i;
+  }
+}
+
+TEST(StTarget, RejectedClosedFormFallsBackToTheBaselineMax) {
+  // A certifier that accepts nothing (negative feasibility tolerance): the
+  // closed form is not trusted, and the baseline's own max is returned.
+  const auto bench =
+      workloads::generate_benchmark(workloads::table1_specs(false)[0]);
+  StTargetOptions opts;
+  opts.solver.verify.enabled = true;
+  opts.solver.verify.tol.tol_feas = -1.0;
+  const StTargetResult r = find_st_target(bench.design, bench.baseline, opts);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.certify_failures, 1);
+  EXPECT_EQ(r.st_target, r.st_up);
+  EXPECT_EQ(r.probes, 0);
+}
+
+TEST(StTarget, TighterToleranceNeverWorsensTheBound) {
+  // The tolerance only steers the ILP-confirmed bisection.
+  const auto bench =
+      workloads::generate_benchmark(workloads::table1_specs(false)[0]);
   StTargetOptions loose;
+  loose.confirm_with_ilp = true;
   loose.tol_frac = 0.10;
   StTargetOptions tight;
+  tight.confirm_with_ilp = true;
   tight.tol_frac = 0.01;
   tight.max_iters = 24;
   const double t_loose =
@@ -78,9 +133,11 @@ TEST(StTarget, ProbeCountIsBounded) {
   const auto bench =
       workloads::generate_benchmark(workloads::table1_specs(false)[0]);
   StTargetOptions opts;
+  opts.confirm_with_ilp = true;  // only the ILP-confirmed search probes
   opts.max_iters = 5;
   const StTargetResult r = find_st_target(bench.design, bench.baseline, opts);
   ASSERT_TRUE(r.ok);
+  EXPECT_GT(r.probes, 0);
   EXPECT_LE(r.probes, 5 + 1);  // initial ST_low probe + max_iters
 }
 

@@ -162,10 +162,10 @@ struct B6Chains {
   std::vector<SolveRow> dive;
 };
 
-// Step 1 of Algorithm 1 on Table-I benchmark B6, replayed on one engine the
-// way the incremental probe session runs it: delay-unaware model, null
+// A Step-1-shaped LP chain on Table-I benchmark B6, run on one engine the
+// way an incremental probe session runs it: delay-unaware model, null
 // objective, stress rows re-ranged between probes, each probe warm from
-// the previous probe's basis, bisection as in find_st_target, then a
+// the previous probe's basis, a bisection over [ST_low, ST_up], then a
 // descending ladder of targets on the same chain. Then a dive under the
 // min-perturbation objective at a quarter of the way from ST_low to ST_up:
 // each round fixes the most fractional op's largest assignment to 1 and

@@ -8,6 +8,7 @@
 #include <string_view>
 
 #include "core/remapper.h"
+#include "core/st_target.h"
 #include "milp/branch_and_bound.h"
 #include "milp/model.h"
 #include "obs/metrics.h"
@@ -85,13 +86,17 @@ TEST(PipelineTrace, RemapEmitsPromisedSpans) {
   EXPECT_EQ(names.count("remap"), 1u);
   EXPECT_GE(names.count("remap.attempt"), 1u);
   EXPECT_EQ(names.count("st_target.search"), 1u);
-  EXPECT_GE(names.count("st_target.probe"), 1u);
+  // The default Step 1 is answered in closed form: a search span, no probes.
+  EXPECT_EQ(names.count("st_target.probe"), 0u);
   EXPECT_GE(names.count("two_step.solve"), 1u);
   EXPECT_GE(names.count("timing.sta"), 1u);
 
   // The attempt spans carry the probed st_target and the verdict.
   bool saw_attempt_args = false;
   for (const auto& ev : obs::Tracer::global().snapshot()) {
+    if (std::string_view(ev.name) == "st_target.search") {
+      EXPECT_NE(ev.args.find("\"closed_form\":true"), std::string::npos);
+    }
     if (std::string_view(ev.name) != "remap.attempt") continue;
     EXPECT_NE(ev.args.find("\"st_target\":"), std::string::npos);
     EXPECT_NE(ev.args.find("\"status\":"), std::string::npos);
@@ -105,6 +110,36 @@ TEST(PipelineTrace, RemapEmitsPromisedSpans) {
       test::JsonChecker::valid(obs::Tracer::global().to_json(), &why))
       << why;
   (void)result;
+}
+
+TEST(PipelineTrace, IlpConfirmedStepOneEmitsProbeSpans) {
+  workloads::BenchmarkSpec spec;
+  spec.name = "trace-smoke";
+  spec.contexts = 4;
+  spec.fabric_dim = 4;
+  spec.usage = 0.5;
+  spec.seed = 11;
+  const auto bench = workloads::generate_benchmark(spec);
+
+  GlobalTraceScope scope;
+  core::StTargetOptions opts;
+  opts.confirm_with_ilp = true;
+  const core::StTargetResult r =
+      find_st_target(bench.design, bench.baseline, opts);
+  obs::Tracer::global().disable();
+  ASSERT_TRUE(r.ok);
+
+  const auto names = span_names();
+  EXPECT_EQ(names.count("st_target.search"), 1u);
+  EXPECT_EQ(names.count("st_target.probe"),
+            static_cast<std::size_t>(r.probes));
+  EXPECT_GE(r.probes, 1);
+  // Each probe span carries the probed target and the verdict.
+  for (const auto& ev : obs::Tracer::global().snapshot()) {
+    if (std::string_view(ev.name) != "st_target.probe") continue;
+    EXPECT_NE(ev.args.find("\"st_target\":"), std::string::npos);
+    EXPECT_NE(ev.args.find("\"feasible\":"), std::string::npos);
+  }
 }
 
 TEST(PipelineTrace, ParallelBnbWorkersGetSeparateLanes) {

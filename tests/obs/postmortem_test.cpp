@@ -116,19 +116,24 @@ TEST(Postmortem, BnbTotalsMatchUnderParallelWorkers) {
 }
 
 TEST(Postmortem, StSearchProbeTotalsMatchResultExactly) {
+  // The ILP-confirmed search is the one that still probes (the default LP
+  // oracle is answered in closed form, see below).
   EventLog log;
   log.open_memory();
   const auto bench =
       workloads::generate_benchmark(workloads::table1_specs(false)[0]);
   core::StTargetOptions opts;
+  opts.confirm_with_ilp = true;
   opts.solver.events = &log;
   const core::StTargetResult r =
       find_st_target(bench.design, bench.baseline, opts);
   ASSERT_TRUE(r.ok);
+  ASSERT_GT(r.probes, 0);
   log.close();
 
   const PostmortemReport report = analyze_ok(log.memory_contents());
   EXPECT_EQ(report.st_searches, 1);
+  EXPECT_EQ(report.st_closed_form, 0);
   EXPECT_EQ(report.probes, static_cast<long>(r.probes));
   EXPECT_EQ(report.probe_warm_hits, static_cast<long>(r.warm_hits));
   EXPECT_EQ(report.probe_fallbacks, static_cast<long>(r.basis_fallbacks));
@@ -142,6 +147,31 @@ TEST(Postmortem, StSearchProbeTotalsMatchResultExactly) {
     EXPECT_GE(probe.t_us, last_t);
     last_t = probe.t_us;
   }
+}
+
+TEST(Postmortem, StSearchClosedFormHasNoProbes) {
+  EventLog log;
+  log.open_memory();
+  const auto bench =
+      workloads::generate_benchmark(workloads::table1_specs(false)[0]);
+  core::StTargetOptions opts;
+  opts.solver.events = &log;
+  const core::StTargetResult r =
+      find_st_target(bench.design, bench.baseline, opts);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.probes, 0);
+  EXPECT_EQ(r.lp_iterations, 0);
+  log.close();
+
+  const PostmortemReport report = analyze_ok(log.memory_contents());
+  EXPECT_EQ(report.st_searches, 1);
+  EXPECT_EQ(report.st_closed_form, 1);
+  EXPECT_EQ(report.probes, 0);
+  EXPECT_EQ(report.lp_solves, 0);
+  EXPECT_EQ(report.lp_iterations, 0);
+  EXPECT_NE(report.to_text().find("1 (1 closed-form)"), std::string::npos);
+  EXPECT_NE(report.to_json().find("\"st_closed_form\":1"),
+            std::string::npos);
 }
 
 TEST(Postmortem, RemapRunReconstructsPipeline) {

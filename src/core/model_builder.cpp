@@ -116,6 +116,54 @@ std::vector<double> RemapModel::encode(const Floorplan& fp) const {
   return x;
 }
 
+std::vector<milp::ColStatus> RemapModel::crash_basis(
+    const Floorplan& fp) const {
+  CGRAF_ASSERT(design != nullptr);
+  if (trivially_infeasible) return {};
+  if (fp.op_to_pe.size() != design->ops.size()) return {};
+  const Fabric& fabric = design->fabric;
+  const int n = model.num_vars();
+  const int m = model.num_constraints();
+  std::vector<milp::ColStatus> status(static_cast<std::size_t>(n + m),
+                                      milp::ColStatus::kAtLower);
+  for (int r = 0; r < m; ++r)
+    status[static_cast<std::size_t>(n + r)] = milp::ColStatus::kBasic;
+  // `col` enters the basis in place of `row`'s slack, which sits at its
+  // bound (equality rows, and the tight side of an abs row).
+  auto swap_in = [&](int col, int row) {
+    status[static_cast<std::size_t>(col)] = milp::ColStatus::kBasic;
+    status[static_cast<std::size_t>(n + row)] = milp::ColStatus::kAtLower;
+  };
+
+  // Where each free op's coordinates land in the basic solution: its `fp`
+  // location, or the origin when every one of its columns is nonbasic.
+  std::vector<Point> at(design->ops.size(), Point{0, 0});
+  for (int op = 0; op < design->num_ops(); ++op) {
+    const std::size_t o = static_cast<std::size_t>(op);
+    if (frozen[o]) continue;
+    const int pe = fp.pe_of(op);
+    const auto& cand = candidates[o];
+    for (std::size_t c = 0; c < cand.size(); ++c) {
+      if (cand[c] != pe) continue;
+      swap_in(assign_vars[o][c], assign_rows[o]);
+      at[o] = fabric.loc(pe);
+      break;
+    }
+  }
+  for (std::size_t op = 0; op < coord_x.size(); ++op) {
+    if (coord_x[op] < 0) continue;
+    swap_in(coord_x[op], coord_rows[op]);
+    swap_in(coord_y[op], coord_rows[op] + 1);
+  }
+  for (const EdgeAbs& e : edge_abs) {
+    const Point pu = at[static_cast<std::size_t>(e.u)];
+    const Point pv = at[static_cast<std::size_t>(e.v)];
+    swap_in(e.dx, pu.x >= pv.x ? e.row : e.row + 1);
+    swap_in(e.dy, pu.y >= pv.y ? e.row + 2 : e.row + 3);
+  }
+  return status;
+}
+
 RemapModel build_remap_model(const RemapModelSpec& spec) {
   CGRAF_ASSERT(spec.design != nullptr && spec.base != nullptr);
   const Design& d = *spec.design;
@@ -132,6 +180,7 @@ RemapModel build_remap_model(const RemapModelSpec& spec) {
   rm.frozen = spec.frozen;
   rm.candidates.assign(static_cast<std::size_t>(n_ops), {});
   rm.assign_vars.assign(static_cast<std::size_t>(n_ops), {});
+  rm.assign_rows.assign(static_cast<std::size_t>(n_ops), -1);
 
   auto fail = [&](std::string reason) {
     rm.trivially_infeasible = true;
@@ -188,7 +237,8 @@ RemapModel build_remap_model(const RemapModelSpec& spec) {
     std::vector<std::pair<int, double>> row;
     row.reserve(vars.size());
     for (const int v : vars) row.emplace_back(v, 1.0);
-    rm.model.add_eq(std::move(row), 1.0, "assign[" + std::to_string(op) + "]");
+    rm.assign_rows[static_cast<std::size_t>(op)] = rm.model.add_eq(
+        std::move(row), 1.0, "assign[" + std::to_string(op) + "]");
   }
   rm.num_binary_vars = rm.model.num_vars();
 
@@ -239,6 +289,7 @@ RemapModel build_remap_model(const RemapModelSpec& spec) {
     // the RemapModel so encode() can reproduce them from a floorplan.
     rm.coord_x.assign(static_cast<std::size_t>(n_ops), -1);
     rm.coord_y.assign(static_cast<std::size_t>(n_ops), -1);
+    rm.coord_rows.assign(static_cast<std::size_t>(n_ops), -1);
     std::vector<int>& cx = rm.coord_x;
     std::vector<int>& cy = rm.coord_y;
     auto coord_vars = [&](int op) {
@@ -256,7 +307,8 @@ RemapModel build_remap_model(const RemapModelSpec& spec) {
         if (p.x != 0) rx.emplace_back(vars[c], -static_cast<double>(p.x));
         if (p.y != 0) ry.emplace_back(vars[c], -static_cast<double>(p.y));
       }
-      rm.model.add_eq(std::move(rx), 0.0, "cx[" + std::to_string(op) + "]");
+      rm.coord_rows[static_cast<std::size_t>(op)] = rm.model.add_eq(
+          std::move(rx), 0.0, "cx[" + std::to_string(op) + "]");
       rm.model.add_eq(std::move(ry), 0.0, "cy[" + std::to_string(op) + "]");
       cx[static_cast<std::size_t>(op)] = vx;
       cy[static_cast<std::size_t>(op)] = vy;
@@ -274,16 +326,16 @@ RemapModel build_remap_model(const RemapModelSpec& spec) {
       const int dy = rm.model.add_continuous(0.0, milp::kInf);
       const std::string edge =
           std::to_string(key.first) + "," + std::to_string(key.second);
-      rm.model.add_ge({{dx, 1.0}, {ux, -1.0}, {vx_, 1.0}}, 0.0,
-                      "absx+[" + edge + "]");
+      const int row = rm.model.add_ge({{dx, 1.0}, {ux, -1.0}, {vx_, 1.0}},
+                                      0.0, "absx+[" + edge + "]");
       rm.model.add_ge({{dx, 1.0}, {ux, 1.0}, {vx_, -1.0}}, 0.0,
                       "absx-[" + edge + "]");
       rm.model.add_ge({{dy, 1.0}, {uy, -1.0}, {vy_, 1.0}}, 0.0,
                       "absy+[" + edge + "]");
       rm.model.add_ge({{dy, 1.0}, {uy, 1.0}, {vy_, -1.0}}, 0.0,
                       "absy-[" + edge + "]");
-      rm.edge_abs.push_back(
-          RemapModel::EdgeAbs{key.first, key.second, dx, dy});
+      // Call order, not key order: the rows above read cx[u] - cx[v].
+      rm.edge_abs.push_back(RemapModel::EdgeAbs{u, v, dx, dy, row});
       return edge_vars[key] = {dx, dy};
     };
 

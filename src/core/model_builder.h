@@ -21,6 +21,7 @@
 #include "cgrra/floorplan.h"
 #include "cgrra/stress.h"
 #include "milp/model.h"
+#include "milp/simplex.h"
 #include "timing/paths.h"
 #include "verify/model_lint.h"
 
@@ -92,14 +93,21 @@ struct RemapModel {
   // builds the patched model is re-linted like a fresh build.
   bool patch_st_target(double new_target);
 
-  // Coordinate-variable bookkeeping for encode(): the continuous cx/cy
-  // variable per op (-1 / empty when the op has none, e.g. no monitored
-  // paths touch it) and the |dx|,|dy| split variables per free-free edge.
+  // Each free op's assignment row (-1 for frozen ops), for crash_basis().
+  std::vector<int> assign_rows;
+
+  // Coordinate-variable bookkeeping for encode() and crash_basis(): the
+  // continuous cx/cy variable per op (-1 / empty when the op has none, e.g.
+  // no monitored paths touch it) with its cx row (the cy row follows it),
+  // and the |dx|,|dy| split variables per free-free edge with the first of
+  // their four rows: absx+ (dx >= cx[u] - cx[v]), then absx-, absy+, absy-.
   struct EdgeAbs {
     int u = -1, v = -1;
     int dx = -1, dy = -1;
+    int row = -1;
   };
   std::vector<int> coord_x, coord_y;  // per op; empty without path rows
+  std::vector<int> coord_rows;        // per op; empty without path rows
   std::vector<EdgeAbs> edge_abs;
 
   // Decodes a solver solution vector into a complete floorplan (frozen ops
@@ -114,6 +122,21 @@ struct RemapModel {
   // bound outside its candidate set, or a frozen op moved off its base
   // binding).
   std::vector<double> encode(const Floorplan& fp) const;
+
+  // A starting basis for the LP relaxation (size num_vars + num_rows, in
+  // SimplexEngine's column order) at the point where each free op sits at
+  // its `fp` PE. Basic: each free op's column for that PE, every coordinate
+  // variable and every |.| split variable. Nonbasic: the slacks of those
+  // ops' assignment rows, of every cx/cy row, and of one abs row per split
+  // variable, the one tight at that point. Every other slack stays basic.
+  // Ordered as assignment, coordinate and abs rows the basis is triangular
+  // with a ±1 diagonal, so it always factors. A free op whose `fp` PE
+  // was filtered out of its candidates keeps its assignment slack basic
+  // (that row then starts primal infeasible). Under kMinPerturbation with
+  // fp == base every basic column costs 0, so the basis is dual feasible.
+  // Empty when the model is trivially infeasible or `fp` does not cover
+  // the design.
+  std::vector<milp::ColStatus> crash_basis(const Floorplan& fp) const;
 
   // Expected formulation-(3) shape for verify::lint_formulation, taken from
   // the builder's own bookkeeping.

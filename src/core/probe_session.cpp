@@ -67,21 +67,27 @@ TwoStepResult ProbeSession::solve_lp_probe() {
     engine_ = std::make_unique<milp::SimplexEngine>(relaxed, solver_.lp);
   }
 
-  const bool have_warm = !basis_.empty();
-  milp::LpResult lp = engine_->solve(have_warm ? &basis_ : nullptr);
-  if (have_warm && !lp.warm_used) {
+  // Start from the previous probe's basis; after a (re)build there is none,
+  // so crash-start from the base floorplan instead.
+  const bool chained = !basis_.empty();
+  if (!chained) basis_ = rm_.crash_basis(*spec_.base);
+  const bool have_start = !basis_.empty();
+  milp::LpResult lp = engine_->solve(have_start ? &basis_ : nullptr);
+  if (have_start && !lp.warm_used) {
     // Stale/singular basis: the engine already restarted from the slack
     // basis on its own.
     ++stats_.basis_fallbacks;
-  } else if (have_warm && lp.status == milp::SolveStatus::kNumericalError) {
-    // The chained basis factored but drove the solve into numerical
-    // trouble; a cold re-solve is the answer a fresh session would give.
+  } else if (have_start && lp.status == milp::SolveStatus::kNumericalError) {
+    // The starting basis factored but drove the solve into numerical
+    // trouble; a slack-basis re-solve is the last resort.
     ++stats_.basis_fallbacks;
     lp = engine_->solve(nullptr);
-  } else if (have_warm) {
+  } else if (chained) {
     ++stats_.warm_hits;
+  } else if (have_start) {
+    ++stats_.crash_starts;
   }
-  res.stats.warm_start_used = have_warm && lp.warm_used;
+  res.stats.warm_start_used = have_start && lp.warm_used;
   if (!lp.basis.empty()) basis_ = lp.basis;
 
   if (lp.dual_used) ++stats_.dual_solves;
@@ -122,7 +128,7 @@ TwoStepResult ProbeSession::solve_lp_probe() {
 TwoStepResult ProbeSession::solve(double st_target) {
   ++stats_.probes;
   // Snapshot for the probe.solve record: the deltas below ARE the session's
-  // accounting, so the analyzer's warm-hit/fallback totals summed over
+  // accounting, so the analyzer's warm-hit/crash/fallback totals summed over
   // probe.solve events match ProbeSessionStats exactly.
   const ProbeSessionStats before = stats_;
   const double t0 = now_seconds();
@@ -130,14 +136,25 @@ TwoStepResult ProbeSession::solve(double st_target) {
 
   TwoStepResult res = [&]() -> TwoStepResult {
     if (!warm_) {
-      // Forced-cold mode: the legacy rebuild-everything path, byte for
-      // byte.
+      // Forced-cold mode: rebuild the model and solve it afresh, with no
+      // basis carried over from an earlier probe.
       mode = "cold";
       spec_.st_target = st_target;
       rm_ = build_remap_model(spec_);
       built_ = true;
       ++stats_.model_rebuilds;
-      return solve_two_step(rm_, solver_);
+      if (!solver_.lp_only) return solve_two_step(rm_, solver_);
+      // Pure-LP probes crash-start from the base floorplan, like the first
+      // probe of a warm session.
+      const std::vector<milp::ColStatus> crash = rm_.crash_basis(*spec_.base);
+      TwoStepOptions cold_opts = solver_;
+      cold_opts.warm_basis = &crash;
+      TwoStepResult r = solve_two_step(rm_, cold_opts);
+      if (!crash.empty()) {
+        if (r.stats.warm_start_used) ++stats_.crash_starts;
+        else ++stats_.basis_fallbacks;
+      }
+      return r;
     }
 
     if (!ensure_model(st_target)) {
@@ -170,6 +187,7 @@ TwoStepResult ProbeSession::solve(double st_target) {
         .arg("mode", mode)
         .arg("status", milp::to_string(res.status))
         .arg("warm_hit", stats_.warm_hits > before.warm_hits)
+        .arg("crash", stats_.crash_starts > before.crash_starts)
         .arg("fallback", stats_.basis_fallbacks > before.basis_fallbacks)
         .arg("rebuild", stats_.model_rebuilds > before.model_rebuilds)
         .arg("patch", stats_.patches > before.patches)

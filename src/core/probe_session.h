@@ -7,11 +7,15 @@
 // only those rows between probes (RemapModel::patch_st_target), keeps one
 // SimplexEngine alive across pure-LP probes so the computational form is
 // standardized once, and warm-starts every solve from the previous probe's
-// returned basis — falling back to the cold slack basis whenever the
-// chained basis is stale or its factorization singular. With warm == false
-// the session degrades to the legacy behavior (full rebuild + cold solve
-// per probe), which the differential tests and the `--warm-probes=off`
-// escape hatch rely on.
+// returned basis. A pure-LP probe with no basis to chain (the first after
+// every (re)build, and every probe of a forced-cold session) starts from
+// RemapModel::crash_basis at the base floorplan instead of the slack
+// basis: under kMinPerturbation that basis is dual feasible, so the dual
+// simplex re-solves it with no primal phase 1. A stale or singular
+// starting basis, or a numerical-error solve from one, falls back to the
+// slack basis. With warm == false the session rebuilds the model and
+// solves it afresh at every probe, which the differential tests and the
+// `--warm-probes=off` escape hatch rely on.
 #pragma once
 
 #include <atomic>
@@ -28,9 +32,13 @@ struct ProbeSessionStats {
   int probes = 0;
   // Solves that actually started from the previous probe's basis.
   int warm_hits = 0;
-  // A chained basis was available but abandoned for the slack basis
-  // (engine-side rejection of a stale/singular basis, or a numerical-error
-  // retry).
+  // Pure-LP solves that started from the base floorplan's crash basis
+  // (RemapModel::crash_basis) because no chained basis existed. Never
+  // counted as warm hits.
+  int crash_starts = 0;
+  // A chained or crash basis was available but abandoned for the slack
+  // basis (engine-side rejection of a stale/singular basis, or a
+  // numerical-error retry).
   int basis_fallbacks = 0;
   // Full build_remap_model calls (the first build counts; warm sessions
   // rebuild only when a trivially-infeasible model must be re-attempted at

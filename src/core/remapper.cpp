@@ -139,6 +139,7 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
   // opens (Step 1's search, the presearch geometries, the Delta loop).
   auto fold_session = [&](const ProbeSessionStats& ps) {
     res.probe_warm_hits += ps.warm_hits;
+    res.probe_crash_starts += ps.crash_starts;
     res.probe_basis_fallbacks += ps.basis_fallbacks;
     res.probe_model_rebuilds += ps.model_rebuilds;
   };
@@ -232,7 +233,10 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
         spec.candidates = cand;
         spec.monitored = &monitored;
         spec.cpd_ns = res.cpd_before_ns;
-        spec.objective = ObjectiveMode::kNull;  // feasibility only
+        // Only the verdict is read, and no objective changes a verdict;
+        // kMinPerturbation makes the base floorplan's crash basis dual
+        // feasible, so each geometry's first probe needs no primal phase 1.
+        spec.objective = ObjectiveMode::kMinPerturbation;
         ProbeSession session(std::move(spec), probe_opts, opts.warm_probes);
         auto lp_feasible = [&](double target) {
           return session.solve(target).status == milp::SolveStatus::kOptimal;

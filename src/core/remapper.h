@@ -134,6 +134,7 @@ struct RemapResult {
   // Aggregated incremental-probe accounting across Step 1, the presearch
   // and the Delta loop (see ProbeSessionStats).
   int probe_warm_hits = 0;
+  int probe_crash_starts = 0;
   int probe_basis_fallbacks = 0;
   int probe_model_rebuilds = 0;
   TwoStepStats last_solve;

@@ -1,36 +1,19 @@
 #include "obs/build_info.h"
 
-#include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <thread>
 
 #include "obs/json_writer.h"
 
+// Set by src/CMakeLists.txt at configure time; a build configured by other
+// means has no SHA to report.
+#ifndef CGRAF_BUILD_GIT_SHA
+#define CGRAF_BUILD_GIT_SHA "unknown"
+#endif
+
 namespace cgraf::obs {
 
-namespace {
-
-std::string run_git_rev_parse() {
-#if defined(_WIN32)
-  return "unknown";
-#else
-  std::FILE* pipe = ::popen("git rev-parse HEAD 2>/dev/null", "r");
-  if (pipe == nullptr) return "unknown";
-  char buf[128] = {0};
-  std::string out;
-  if (std::fgets(buf, sizeof buf, pipe) != nullptr) out = buf;
-  ::pclose(pipe);
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-    out.pop_back();
-  }
-  // A SHA is 40 hex chars; anything else means git failed quietly.
-  if (out.size() != 40) return "unknown";
-  return out;
-#endif
-}
-
-}  // namespace
+std::string build_git_sha() { return CGRAF_BUILD_GIT_SHA; }
 
 std::string git_sha() {
   static const std::string sha = [] {
@@ -41,7 +24,7 @@ std::string git_sha() {
         env != nullptr && env[0] != '\0') {
       return std::string(env);
     }
-    return run_git_rev_parse();
+    return build_git_sha();
   }();
   return sha;
 }

@@ -9,12 +9,16 @@ namespace cgraf::obs {
 
 class JsonWriter;
 
-// Git commit SHA of the working tree. Resolution order:
+// Git commit SHA of the build. Resolution order:
 //   1. the CGRAF_GIT_SHA environment variable (CI sets it; also the test
 //      seam),
-//   2. `git rev-parse HEAD` run once and cached,
-//   3. "unknown".
+//   2. build_git_sha().
+// Independent of the process's working directory.
 std::string git_sha();
+
+// The source tree's `git rev-parse HEAD`, baked in at configure time;
+// "unknown" when the tree was configured outside a git work tree.
+std::string build_git_sha();
 
 // Compiler identity, e.g. "gcc 12.2.0" or "clang 15.0.7".
 std::string compiler_id();

@@ -80,10 +80,12 @@ void fold_record(const JsonValue& rec, PostmortemReport& r) {
     p.mode = rec.str_or("mode", "?");
     p.status = rec.str_or("status", "?");
     p.warm_hit = rec.bool_or("warm_hit", false);
+    p.crash = rec.bool_or("crash", false);
     p.fallback = rec.bool_or("fallback", false);
     p.lp_iterations = rec.int_or("lp_iterations", 0);
     p.seconds = rec.num_or("seconds", 0.0);
     if (p.warm_hit) ++r.probe_warm_hits;
+    if (p.crash) ++r.probe_crash_starts;
     if (p.fallback) ++r.probe_fallbacks;
     if (rec.bool_or("rebuild", false)) ++r.probe_rebuilds;
     if (rec.bool_or("patch", false)) ++r.probe_patches;
@@ -286,6 +288,7 @@ std::string PostmortemReport::to_text() const {
     t.add_row({"warm hits",
                fmt_long(probe_warm_hits) + " (" +
                    fmt_pct(probe_warm_hits, probes) + ")"});
+    t.add_row({"crash starts", fmt_long(probe_crash_starts)});
     t.add_row({"basis fallbacks", fmt_long(probe_fallbacks)});
     t.add_row({"model rebuilds", fmt_long(probe_rebuilds)});
     t.add_row({"RHS patches", fmt_long(probe_patches)});
@@ -294,7 +297,8 @@ std::string PostmortemReport::to_text() const {
                       "lp iters", "sec"});
     for (const auto& p : probe_chain) {
       chain.add_row({fmt_double(p.t_us / 1e3, 3), fmt_double(p.target, 4),
-                     p.mode, p.status, p.warm_hit ? "yes" : "no",
+                     p.mode, p.status,
+                     p.warm_hit ? "yes" : (p.crash ? "crash" : "no"),
                      fmt_long(p.lp_iterations), fmt_double(p.seconds, 4)});
     }
     out += chain.render();
@@ -399,6 +403,7 @@ std::string PostmortemReport::to_json() const {
   w.key("probes").begin_object();
   w.field("count", probes);
   w.field("warm_hits", probe_warm_hits);
+  w.field("crash_starts", probe_crash_starts);
   w.field("basis_fallbacks", probe_fallbacks);
   w.field("model_rebuilds", probe_rebuilds);
   w.field("patches", probe_patches);
@@ -410,6 +415,7 @@ std::string PostmortemReport::to_json() const {
     w.field("mode", p.mode);
     w.field("status", p.status);
     w.field("warm_hit", p.warm_hit);
+    w.field("crash", p.crash);
     w.field("fallback", p.fallback);
     w.field("lp_iterations", p.lp_iterations);
     w.field("seconds", p.seconds);

@@ -75,12 +75,14 @@ struct PostmortemReport {
     std::string mode;
     std::string status;
     bool warm_hit = false;
+    bool crash = false;
     bool fallback = false;
     long lp_iterations = 0;
     double seconds = 0.0;
   };
   long probes = 0;
   long probe_warm_hits = 0;       // == ProbeSessionStats::warm_hits sum
+  long probe_crash_starts = 0;    // == ProbeSessionStats::crash_starts sum
   long probe_fallbacks = 0;
   long probe_rebuilds = 0;
   long probe_patches = 0;

@@ -4,8 +4,14 @@
 
 #include <algorithm>
 
+#include "cgrra/stress.h"
+#include "core/candidates.h"
+#include "core/rotation.h"
 #include "milp/branch_and_bound.h"
+#include "milp/simplex.h"
 #include "timing/paths.h"
+#include "timing/sta.h"
+#include "workloads/suite.h"
 
 namespace cgraf::core {
 namespace {
@@ -250,6 +256,165 @@ TEST(ModelBuilder, PatchRejectsTargetBelowFrozenStress) {
   EXPECT_EQ(rm.st_target, 10.0);
   // And the refused patch left the rows intact: a feasible re-patch works.
   EXPECT_TRUE(rm.patch_st_target(2.0 * frozen_max + 1.0));
+}
+
+// The remapper's presearch geometry on a generated benchmark: each context's
+// critical paths frozen (at their rotated PEs when `rotate`), monitored-path
+// budgets, slack-pruned candidates, kMinPerturbation.
+struct Geometry {
+  workloads::GeneratedBenchmark bench;
+  Floorplan base;
+  std::vector<char> frozen;
+  std::vector<timing::TimingPath> monitored;
+  double cpd_ns = 0.0;
+  double st_max = 0.0;
+  RemapModel rm;
+
+  static workloads::GeneratedBenchmark make_bench(std::uint64_t seed) {
+    workloads::BenchmarkSpec spec;
+    spec.name = "crash";
+    spec.contexts = 4;
+    spec.fabric_dim = 5;
+    spec.usage = 0.7;
+    spec.seed = seed;
+    return workloads::generate_benchmark(spec);
+  }
+
+  Geometry(std::uint64_t seed, bool rotate) : bench(make_bench(seed)) {
+    const Design& d = bench.design;
+    const timing::CombGraph graph(d);
+    cpd_ns = timing::run_sta(graph, bench.baseline).cpd_ns;
+    frozen.assign(static_cast<std::size_t>(d.num_ops()), 0);
+    std::vector<std::vector<int>> by_context(
+        static_cast<std::size_t>(d.num_contexts));
+    for (int c = 0; c < d.num_contexts; ++c) {
+      for (const auto& p : timing::critical_paths(graph, bench.baseline, c, 8))
+        for (const int op : p.ops) {
+          if (frozen[static_cast<std::size_t>(op)]) continue;
+          frozen[static_cast<std::size_t>(op)] = 1;
+          by_context[static_cast<std::size_t>(c)].push_back(op);
+        }
+    }
+    monitored = timing::monitored_paths(graph, bench.baseline);
+    base = rotate ? rotate_critical_paths(d, bench.baseline, by_context)
+                        .rotated_base
+                  : bench.baseline;
+    st_max = compute_stress(d, bench.baseline).max_accumulated();
+    RemapModelSpec ms;
+    ms.design = &bench.design;
+    ms.base = &base;
+    ms.frozen = frozen;
+    ms.candidates =
+        compute_candidates(d, base, frozen, monitored, cpd_ns);
+    ms.monitored = &monitored;
+    ms.cpd_ns = cpd_ns;
+    ms.st_target = st_max;
+    ms.objective = ObjectiveMode::kMinPerturbation;
+    rm = build_remap_model(ms);
+  }
+
+  milp::SimplexEngine engine() const {
+    milp::Model relaxed = rm.model;
+    for (int v = 0; v < relaxed.num_vars(); ++v) relaxed.relax_var(v);
+    return milp::SimplexEngine(relaxed);
+  }
+};
+
+long basic_count(const std::vector<milp::ColStatus>& basis) {
+  return std::count(basis.begin(), basis.end(), milp::ColStatus::kBasic);
+}
+
+TEST(ModelBuilderCrashBasis, BasicCountIsTheRowCount) {
+  // The small fixture with a free-free path exercises the coordinate and
+  // |.| rows; the generated geometry adds frozen ops and many paths.
+  Fixture f;
+  RemapModelSpec s = f.spec(1.0);
+  timing::TimingPath path;
+  path.context = 0;
+  path.ops = {0, 1};
+  path.pe_delay_ns = 2 * 0.87;
+  std::vector<timing::TimingPath> monitored{path};
+  s.monitored = &monitored;
+  s.cpd_ns = path.pe_delay_ns + 2 * 0.2;
+  const RemapModel small = build_remap_model(s);
+  ASSERT_FALSE(small.trivially_infeasible);
+  ASSERT_EQ(small.edge_abs.size(), 1u);
+  const std::vector<milp::ColStatus> b = small.crash_basis(f.base);
+  ASSERT_EQ(b.size(), static_cast<std::size_t>(small.model.num_vars() +
+                                                small.model.num_constraints()));
+  EXPECT_EQ(basic_count(b), small.model.num_constraints());
+
+  const Geometry g(11, /*rotate=*/false);
+  ASSERT_FALSE(g.rm.trivially_infeasible);
+  ASSERT_FALSE(g.rm.edge_abs.empty());
+  const std::vector<milp::ColStatus> gb = g.rm.crash_basis(g.base);
+  EXPECT_EQ(basic_count(gb), g.rm.model.num_constraints());
+  // A floorplan that does not cover the design has no crash basis.
+  EXPECT_TRUE(g.rm.crash_basis(Floorplan{}).empty());
+}
+
+TEST(ModelBuilderCrashBasis, EngineAcceptsTheBasis) {
+  for (const bool rotate : {false, true}) {
+    const Geometry g(11, rotate);
+    ASSERT_FALSE(g.rm.trivially_infeasible);
+    const std::vector<milp::ColStatus> b = g.rm.crash_basis(g.base);
+    milp::SimplexEngine engine = g.engine();
+    const milp::LpResult lp = engine.solve(&b);
+    EXPECT_TRUE(lp.warm_used) << (rotate ? "rotated" : "identity");
+    EXPECT_EQ(lp.status, milp::SolveStatus::kOptimal);
+  }
+}
+
+TEST(ModelBuilderCrashBasis, OptimalInZeroIterationsAtTheBaseMaxStress) {
+  // At the base's own max stress the base point satisfies every row, and
+  // under kMinPerturbation every basic column costs 0: the crash basis is
+  // primal and dual feasible, hence already optimal.
+  const Geometry g(11, /*rotate=*/false);
+  ASSERT_FALSE(g.rm.trivially_infeasible);
+  const std::vector<milp::ColStatus> b = g.rm.crash_basis(g.base);
+  milp::SimplexEngine engine = g.engine();
+  const milp::LpResult lp = engine.solve(&b);
+  ASSERT_TRUE(lp.warm_used);
+  EXPECT_EQ(lp.status, milp::SolveStatus::kOptimal);
+  EXPECT_EQ(lp.iterations, 0);
+  EXPECT_EQ(lp.obj, 0.0);
+  // The basic solution is the base floorplan itself.
+  EXPECT_EQ(g.rm.decode(lp.x).op_to_pe, g.base.op_to_pe);
+}
+
+TEST(ModelBuilderCrashBasis, RotatedBaseLeavesDisplacedAssignmentSlacksBasic) {
+  // Rotation moves frozen ops onto PEs that free ops of the same context
+  // hold; those free ops' base PEs are filtered out of their candidates,
+  // so exactly their assignment rows keep a basic slack.
+  const Geometry g(11, /*rotate=*/true);
+  ASSERT_FALSE(g.rm.trivially_infeasible);
+  const Design& d = g.bench.design;
+  std::vector<std::vector<char>> frozen_at(
+      static_cast<std::size_t>(d.num_contexts),
+      std::vector<char>(static_cast<std::size_t>(d.fabric.num_pes()), 0));
+  for (int op = 0; op < d.num_ops(); ++op) {
+    if (!g.frozen[static_cast<std::size_t>(op)]) continue;
+    frozen_at[static_cast<std::size_t>(d.ops[static_cast<std::size_t>(op)]
+                                           .context)]
+             [static_cast<std::size_t>(g.base.pe_of(op))] = 1;
+  }
+  const std::vector<milp::ColStatus> b = g.rm.crash_basis(g.base);
+  const int n = g.rm.model.num_vars();
+  int displaced = 0;
+  for (int op = 0; op < d.num_ops(); ++op) {
+    if (g.frozen[static_cast<std::size_t>(op)]) continue;
+    const bool moved_onto =
+        frozen_at[static_cast<std::size_t>(d.ops[static_cast<std::size_t>(op)]
+                                               .context)]
+                 [static_cast<std::size_t>(g.base.pe_of(op))] != 0;
+    displaced += moved_onto ? 1 : 0;
+    const int row = g.rm.assign_rows[static_cast<std::size_t>(op)];
+    EXPECT_EQ(b[static_cast<std::size_t>(n + row)] == milp::ColStatus::kBasic,
+              moved_onto)
+        << "op " << op;
+  }
+  EXPECT_GT(displaced, 0) << "the rotation displaced no free op";
+  EXPECT_EQ(basic_count(b), g.rm.model.num_constraints());
 }
 
 }  // namespace

@@ -1,16 +1,20 @@
 // Differential harness for the incremental ST_target probes.
 //
-// Two layers over seeded random fabric/context corpora (the first also over
-// the Table-I suite):
+// Three layers over seeded random fabric/context corpora (the first and
+// the last also over the Table-I suite):
 //  - find_st_target's closed-form Step 1 must equal ST_low, the target at
 //    which the LP relaxation (solved warm-session and forced-cold) is
 //    feasible;
 //  - a ProbeSession with the remapper's presearch shape (frozen critical
-//    paths + monitored-path budgets, LP-only kNull probes) must answer a
-//    shared bisection ladder verdict-for-verdict like a cold session that
-//    rebuilds the model at every probe. Path constraints make ST_low
-//    genuinely infeasible here, so the ladders actually bisect and the
-//    warm session chains bases across probes.
+//    paths + monitored-path budgets, LP-only kMinPerturbation probes) must
+//    answer a shared bisection ladder verdict-for-verdict like a cold
+//    session that rebuilds the model at every probe. Path constraints make
+//    ST_low genuinely infeasible here, so the ladders actually bisect and
+//    the warm session chains bases across probes;
+//  - the verdict gate: that presearch, crash-started from the base
+//    floorplan, must answer every probe of the remapper's presearch ladder
+//    like the kNull model solved cold from the slack basis, in the identity
+//    geometry, a rotated one and a blocked-PE one.
 // Labeled `slow` — it runs a few hundred LP searches.
 #include <gtest/gtest.h>
 
@@ -19,7 +23,10 @@
 #include "cgrra/stress.h"
 #include "core/candidates.h"
 #include "core/probe_session.h"
+#include "core/remapper.h"
+#include "core/rotation.h"
 #include "core/st_target.h"
+#include "milp/simplex.h"
 #include "timing/paths.h"
 #include "util/rng.h"
 #include "workloads/suite.h"
@@ -48,10 +55,13 @@ std::vector<workloads::BenchmarkSpec> corpus(int count) {
 }
 
 // The remapper's presearch geometry for one benchmark: critical-path union
-// frozen in place, monitored paths budgeted, candidates slack-pruned.
+// frozen (in place, or at its rotated PEs when `rotate`), monitored paths
+// budgeted, candidates slack-pruned. With `blocked` PEs it follows the
+// remapper's fault mode: critical paths touching a blocked PE stay free,
+// candidates avoid blocked PEs and get extra additive slack.
 struct PresearchFixture {
   const Design* design;
-  const Floorplan* base;
+  Floorplan base;
   std::vector<char> frozen;
   std::vector<timing::TimingPath> monitored;
   std::vector<std::vector<int>> candidates;
@@ -59,36 +69,92 @@ struct PresearchFixture {
   double st_low = 0.0;
   double st_up = 0.0;
 
-  explicit PresearchFixture(const workloads::GeneratedBenchmark& bench)
-      : design(&bench.design), base(&bench.baseline) {
+  explicit PresearchFixture(const workloads::GeneratedBenchmark& bench,
+                            bool rotate = false,
+                            const std::vector<int>& blocked = {})
+      : design(&bench.design), base(bench.baseline) {
+    const Floorplan& baseline = bench.baseline;
     const timing::CombGraph graph(*design);
-    const timing::StaResult sta = run_sta(graph, *base);
+    const timing::StaResult sta = run_sta(graph, baseline);
     cpd_ns = sta.cpd_ns;
+    std::vector<char> is_blocked(
+        static_cast<std::size_t>(design->fabric.num_pes()), 0);
+    for (const int pe : blocked) is_blocked[static_cast<std::size_t>(pe)] = 1;
     frozen.assign(static_cast<std::size_t>(design->num_ops()), 0);
+    std::vector<char> tainted(frozen.size(), 0);
+    std::vector<std::vector<timing::TimingPath>> cps;
     for (int c = 0; c < design->num_contexts; ++c) {
-      for (const auto& p : timing::critical_paths(graph, *base, c, 8))
-        for (const int op : p.ops) frozen[static_cast<std::size_t>(op)] = 1;
+      cps.push_back(timing::critical_paths(graph, baseline, c, 8));
+      for (const auto& p : cps.back()) {
+        bool touches_blocked = false;
+        for (const int op : p.ops)
+          touches_blocked |=
+              is_blocked[static_cast<std::size_t>(baseline.pe_of(op))] != 0;
+        if (!touches_blocked) continue;
+        for (const int op : p.ops) tainted[static_cast<std::size_t>(op)] = 1;
+      }
     }
-    monitored = timing::monitored_paths(graph, *base);
+    std::vector<std::vector<int>> by_context(cps.size());
+    for (std::size_t c = 0; c < cps.size(); ++c) {
+      for (const auto& p : cps[c]) {
+        for (const int op : p.ops) {
+          const std::size_t o = static_cast<std::size_t>(op);
+          if (tainted[o] || frozen[o]) continue;
+          frozen[o] = 1;
+          by_context[c].push_back(op);
+        }
+      }
+    }
+    monitored = timing::monitored_paths(graph, baseline);
+    if (rotate)
+      base = rotate_critical_paths(*design, baseline, by_context).rotated_base;
+    CandidateOptions cand_opts;
+    if (!blocked.empty()) cand_opts.slack_additive = 4.0;
     candidates =
-        compute_candidates(*design, *base, frozen, monitored, cpd_ns);
-    const StressMap stress = compute_stress(*design, *base);
+        compute_candidates(*design, base, frozen, monitored, cpd_ns, cand_opts);
+    for (int op = 0; op < design->num_ops(); ++op) {
+      if (frozen[static_cast<std::size_t>(op)]) continue;
+      std::erase_if(candidates[static_cast<std::size_t>(op)], [&](int pe) {
+        return is_blocked[static_cast<std::size_t>(pe)] != 0;
+      });
+    }
+    const StressMap stress = compute_stress(*design, baseline);
     st_low = stress.avg_accumulated();
     st_up = stress.max_accumulated();
   }
 
-  ProbeSession session(bool warm) const {
+  RemapModelSpec spec(ObjectiveMode objective) const {
     RemapModelSpec spec;
     spec.design = design;
-    spec.base = base;
+    spec.base = &base;
     spec.frozen = frozen;
     spec.candidates = candidates;
     spec.monitored = &monitored;
     spec.cpd_ns = cpd_ns;
-    spec.objective = ObjectiveMode::kNull;
+    spec.objective = objective;
+    return spec;
+  }
+
+  // The remapper's presearch session.
+  ProbeSession session(bool warm) const {
     TwoStepOptions solver;
     solver.lp_only = true;
-    return ProbeSession(std::move(spec), solver, warm);
+    return ProbeSession(spec(ObjectiveMode::kMinPerturbation), solver, warm);
+  }
+
+  // The reference presearch oracle: the kNull model, rebuilt at `target`
+  // and solved cold from the slack basis.
+  bool reference_feasible(double target, long* iterations) const {
+    RemapModelSpec s = spec(ObjectiveMode::kNull);
+    s.st_target = target;
+    const RemapModel rm = build_remap_model(s);
+    if (rm.trivially_infeasible) return false;
+    milp::Model relaxed = rm.model;
+    for (int v = 0; v < relaxed.num_vars(); ++v) relaxed.relax_var(v);
+    milp::SimplexEngine engine(relaxed);
+    const milp::LpResult lp = engine.solve();
+    *iterations += lp.iterations;
+    return lp.status == milp::SolveStatus::kOptimal;
   }
 };
 
@@ -144,6 +210,111 @@ TEST(ProbeDifferential, SessionMatchesColdRebuildOnBisectionLadders) {
   EXPECT_GT(infeasible_total, 0);
   std::printf("[corpus] %d probes, %d warm hits, %d infeasible verdicts\n",
               probes_total, warm_hits_total, infeasible_total);
+}
+
+// Totals of the verdict gate, for its sanity floors and its summary line.
+struct GateTotals {
+  int sessions = 0;
+  int probes = 0;
+  int infeasible = 0;
+  int dual_stall_outs = 0;
+  long subject_iterations = 0;
+  long reference_iterations = 0;
+};
+
+// The dual loop's anti-stall window (kBlandTrigger in milp/simplex.cpp):
+// after this many pivots without a new low of the primal infeasibility it
+// hands the basis to the primal loop.
+constexpr long kDualStallWindow = 2000;
+
+// Walks the remapper's presearch ladder (ST_low, then a bisection over
+// [ST_low, ST_up] when ST_low is infeasible) with the crash-started
+// kMinPerturbation session and the cold kNull reference side by side,
+// branching on the reference verdict so that one divergence cannot snowball.
+void run_presearch_gate(const std::string& name, const PresearchFixture& fx,
+                        bool may_stall, GateTotals& totals) {
+  ProbeSession subject = fx.session(true);
+  bool first_lp = true;
+  auto probe = [&](double target) {
+    const TwoStepResult r = subject.solve(target);
+    const bool vs = r.status == milp::SolveStatus::kOptimal;
+    const bool vr = fx.reference_feasible(target, &totals.reference_iterations);
+    EXPECT_EQ(vs, vr) << name << " target " << target << " subject="
+                      << milp::to_string(r.status);
+    totals.subject_iterations += r.stats.lp_iterations;
+    ++totals.probes;
+    totals.infeasible += vr ? 0 : 1;
+    // A probe that leaves a buildable model behind solved an LP; the first
+    // such probe is the session's crash start.
+    if (first_lp && !subject.model().trivially_infeasible) {
+      first_lp = false;
+      ++totals.sessions;
+      EXPECT_TRUE(r.stats.warm_start_used) << name;
+      EXPECT_EQ(subject.stats().crash_starts, 1) << name;
+      EXPECT_EQ(subject.stats().basis_fallbacks, 0) << name;
+      // The crash basis is dual feasible, so the dual loop alone answers
+      // the probe. A rotated geometry may instead hit the dual loop's
+      // anti-stall (heavy dual degeneracy); only then may phase 1 run.
+      const milp::LpStageStats& lp = r.stats.lp_stage;
+      const bool stalled_out =
+          may_stall && lp.dual_iterations > kDualStallWindow;
+      totals.dual_stall_outs += stalled_out ? 1 : 0;
+      if (!stalled_out) {
+        EXPECT_EQ(lp.phase1_iterations, 0)
+            << name << " target " << target << ": " << lp.dual_iterations
+            << " dual pivots, " << lp.dual_fallbacks
+            << " dual fallbacks, status " << milp::to_string(r.status);
+      }
+    }
+    return vr;
+  };
+  double lo = fx.st_low;
+  if (probe(lo)) return;
+  double hi = fx.st_up;
+  for (int it = 0; it < RemapOptions{}.lp_presearch_probes; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    if (probe(mid)) hi = mid;
+    else lo = mid;
+  }
+  // Crash starts are not warm hits; the session accounting stays disjoint.
+  const ProbeSessionStats& st = subject.stats();
+  EXPECT_LE(st.warm_hits + st.crash_starts + st.basis_fallbacks, st.probes)
+      << name;
+}
+
+TEST(ProbeDifferential, CrashStartedPresearchMatchesColdNullVerdicts) {
+  std::vector<workloads::BenchmarkSpec> specs = corpus(50);
+  for (const auto& spec : workloads::table1_specs(false)) specs.push_back(spec);
+  GateTotals totals;
+  for (const auto& spec : specs) {
+    const auto bench = workloads::generate_benchmark(spec);
+    for (const bool rotate : {false, true}) {
+      const PresearchFixture fx(bench, rotate);
+      if (fx.st_up <= 0.0) continue;
+      run_presearch_gate(spec.name + (rotate ? " rotated" : " identity"), fx,
+                         /*may_stall=*/rotate, totals);
+    }
+  }
+  {
+    // Fault mode: ops on the blocked PEs lose their base PE, so their
+    // assignment rows start primal infeasible in the crash basis.
+    const auto bench =
+        workloads::generate_benchmark(workloads::table1_specs(false)[4]);
+    const StressMap stress = compute_stress(bench.design, bench.baseline);
+    const PresearchFixture fx(bench, false, {stress.argmax(), 0});
+    run_presearch_gate("blocked", fx, /*may_stall=*/false, totals);
+  }
+  // The ladders must bisect (both verdicts present) and crash-start every
+  // geometry, or this gate proves nothing.
+  EXPECT_GT(totals.sessions, 100);
+  EXPECT_GT(totals.infeasible, 0);
+  EXPECT_LT(totals.infeasible, totals.probes);
+  std::printf("[gate] %d sessions (%d dual stall-outs), %d probes, %d "
+              "infeasible; LP iterations %ld crash-started vs %ld cold "
+              "reference\n",
+              totals.sessions, totals.dual_stall_outs, totals.probes,
+              totals.infeasible, totals.subject_iterations,
+              totals.reference_iterations);
 }
 
 TEST(ProbeDifferential, ClosedFormStTargetMatchesTheLp) {

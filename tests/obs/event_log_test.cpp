@@ -9,6 +9,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <string>
@@ -18,6 +20,7 @@
 #include "json_check.h"
 #include "milp/branch_and_bound.h"
 #include "milp/model.h"
+#include "obs/build_info.h"
 #include "obs/json_reader.h"
 #include "util/rng.h"
 
@@ -75,6 +78,40 @@ TEST(EventLog, HeaderAndRecordShape) {
   EXPECT_EQ(rec.str_or("status", ""), "optimal");
   EXPECT_GE(rec.num_or("t", -1.0), 0.0);
   EXPECT_GE(rec.int_or("tid", -1), 0);
+}
+
+TEST(EventLog, HeaderShaDoesNotDependOnTheWorkingDirectory) {
+  // The SHA is baked in at configure time, so a process running outside
+  // any git work tree still stamps the build's SHA (or the CGRAF_GIT_SHA
+  // override). This is the first git_sha() call in the test process, so
+  // nothing was cached from the original directory.
+  namespace fs = std::filesystem;
+  const fs::path home = fs::current_path();
+  const fs::path elsewhere =
+      fs::temp_directory_path() /
+      ("cgraf_sha_cwd_" + std::to_string(static_cast<long>(::getpid())));
+  fs::create_directories(elsewhere);
+  fs::current_path(elsewhere);
+  EventLog log;
+  log.open_memory();
+  log.close();
+  fs::current_path(home);
+  fs::remove_all(elsewhere);
+
+  JsonValue header;
+  std::string err;
+  const auto lines = lines_of(log.memory_contents());
+  ASSERT_FALSE(lines.empty());
+  ASSERT_TRUE(parse_json(lines[0], &header, &err)) << err;
+  const char* env = std::getenv("CGRAF_GIT_SHA");  // NOLINT(concurrency-mt-unsafe)
+  const std::string want =
+      env != nullptr && env[0] != '\0' ? std::string(env) : build_git_sha();
+  EXPECT_EQ(header.str_or("git_sha", ""), want);
+  const std::string baked = build_git_sha();
+  EXPECT_TRUE(baked == "unknown" ||
+              (!baked.empty() && baked.find_first_not_of(
+                                     "0123456789abcdef") == std::string::npos))
+      << baked;
 }
 
 TEST(EventLog, NonFiniteArgsBecomeNull) {

@@ -191,11 +191,28 @@ TEST(Postmortem, RemapRunReconstructsPipeline) {
   EXPECT_GE(report.st_searches, 1);
   EXPECT_GT(report.lp_solves, 0);
   EXPECT_GT(report.probes, 0);
+  // The probe-chain sums over probe.solve records equal the in-process
+  // session counters. The presearch crash-starts each geometry's first LP
+  // probe, and a crash start is never a warm hit.
+  EXPECT_EQ(report.probe_warm_hits, static_cast<long>(res.probe_warm_hits));
+  EXPECT_EQ(report.probe_crash_starts,
+            static_cast<long>(res.probe_crash_starts));
+  EXPECT_EQ(report.probe_fallbacks,
+            static_cast<long>(res.probe_basis_fallbacks));
+  EXPECT_EQ(report.probe_rebuilds,
+            static_cast<long>(res.probe_model_rebuilds));
+  EXPECT_GT(report.probe_crash_starts, 0);
+  for (const auto& probe : report.probe_chain)
+    EXPECT_FALSE(probe.crash && probe.warm_hit);
 
   // Both render paths hold together on a real stream.
   const std::string text = report.to_text();
   EXPECT_NE(text.find("post-mortem"), std::string::npos);
+  EXPECT_NE(text.find("crash starts"), std::string::npos);
   const std::string json = report.to_json();
+  EXPECT_NE(json.find("\"crash_starts\":" +
+                      std::to_string(report.probe_crash_starts)),
+            std::string::npos);
   std::string why;
   EXPECT_TRUE(test::JsonChecker::valid(json, &why)) << why;
 }

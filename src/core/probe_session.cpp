@@ -32,6 +32,7 @@ bool ProbeSession::ensure_model(double target) {
     built_ = true;
     ++stats_.model_rebuilds;
     engine_.reset();
+    lp_basis_.clear();
     basis_.clear();
     return !rm_.trivially_infeasible;
   }
@@ -57,7 +58,7 @@ const RemapModel* ProbeSession::model_at(double target) {
   return &rm_;
 }
 
-TwoStepResult ProbeSession::solve_lp_probe() {
+TwoStepResult ProbeSession::run_lp() {
   obs::Span span("probe_session.lp");
   TwoStepResult res;
   res.stats.vars_total = rm_.num_binary_vars;
@@ -67,12 +68,12 @@ TwoStepResult ProbeSession::solve_lp_probe() {
     engine_ = std::make_unique<milp::SimplexEngine>(relaxed, solver_.lp);
   }
 
-  // Start from the previous probe's basis; after a (re)build there is none,
-  // so crash-start from the base floorplan instead.
-  const bool chained = !basis_.empty();
-  if (!chained) basis_ = rm_.crash_basis(*spec_.base);
-  const bool have_start = !basis_.empty();
-  milp::LpResult lp = engine_->solve(have_start ? &basis_ : nullptr);
+  // Start from the previous LP probe's basis; after a (re)build there is
+  // none, so crash-start from the base floorplan instead.
+  const bool chained = !lp_basis_.empty();
+  if (!chained) lp_basis_ = rm_.crash_basis(*spec_.base);
+  const bool have_start = !lp_basis_.empty();
+  milp::LpResult lp = engine_->solve(have_start ? &lp_basis_ : nullptr);
   if (have_start && !lp.warm_used) {
     // Stale/singular basis: the engine already restarted from the slack
     // basis on its own.
@@ -88,7 +89,7 @@ TwoStepResult ProbeSession::solve_lp_probe() {
     ++stats_.crash_starts;
   }
   res.stats.warm_start_used = have_start && lp.warm_used;
-  if (!lp.basis.empty()) basis_ = lp.basis;
+  if (!lp.basis.empty()) lp_basis_ = lp.basis;
 
   if (lp.dual_used) ++stats_.dual_solves;
   res.stats.lp_status = lp.status;
@@ -107,8 +108,8 @@ TwoStepResult ProbeSession::solve_lp_probe() {
                      : lp.status;
     return res;
   }
-  // Same acceptance gate as solve_two_step's lp_only path: the feasibility
-  // verdict is independently certified (integrality waived).
+  // The presearch bisection trusts this verdict, so the LP point is
+  // independently certified too (integrality waived on the relaxation).
   res.status = milp::SolveStatus::kOptimal;
   if (solver_.verify.enabled) {
     const verify::Certificate cert = verify::certify_solution(
@@ -125,61 +126,46 @@ TwoStepResult ProbeSession::solve_lp_probe() {
   return res;
 }
 
+TwoStepResult ProbeSession::run_two_step() {
+  TwoStepOptions probe_opts = solver_;
+  const bool have_warm = !basis_.empty();
+  probe_opts.warm_basis = have_warm ? &basis_ : nullptr;
+  TwoStepResult r = solve_two_step(rm_, probe_opts);
+  if (have_warm) {
+    if (r.stats.warm_start_used) ++stats_.warm_hits;
+    else ++stats_.basis_fallbacks;
+  }
+  if (r.stats.lp_stage.dual_iterations > 0) ++stats_.dual_solves;
+  if (!r.basis.empty()) basis_ = r.basis;
+  return r;
+}
+
+TwoStepResult ProbeSession::solve_lp(double st_target) {
+  return probe(st_target, /*lp=*/true);
+}
+
 TwoStepResult ProbeSession::solve(double st_target) {
+  return probe(st_target, /*lp=*/false);
+}
+
+TwoStepResult ProbeSession::probe(double st_target, bool lp) {
   ++stats_.probes;
   // Snapshot for the probe.solve record: the deltas below ARE the session's
   // accounting, so the analyzer's warm-hit/crash/fallback totals summed over
   // probe.solve events match ProbeSessionStats exactly.
   const ProbeSessionStats before = stats_;
   const double t0 = now_seconds();
-  const char* mode = "two_step";
-
-  TwoStepResult res = [&]() -> TwoStepResult {
-    if (!warm_) {
-      // Forced-cold mode: rebuild the model and solve it afresh, with no
-      // basis carried over from an earlier probe.
-      mode = "cold";
-      spec_.st_target = st_target;
-      rm_ = build_remap_model(spec_);
-      built_ = true;
-      ++stats_.model_rebuilds;
-      if (!solver_.lp_only) return solve_two_step(rm_, solver_);
-      // Pure-LP probes crash-start from the base floorplan, like the first
-      // probe of a warm session.
-      const std::vector<milp::ColStatus> crash = rm_.crash_basis(*spec_.base);
-      TwoStepOptions cold_opts = solver_;
-      cold_opts.warm_basis = &crash;
-      TwoStepResult r = solve_two_step(rm_, cold_opts);
-      if (!crash.empty()) {
-        if (r.stats.warm_start_used) ++stats_.crash_starts;
-        else ++stats_.basis_fallbacks;
-      }
-      return r;
-    }
-
-    if (!ensure_model(st_target)) {
-      mode = "trivial_infeasible";
-      TwoStepResult r;
-      r.status = milp::SolveStatus::kInfeasible;
-      return r;
-    }
-    if (solver_.lp_only) {
-      mode = "lp";
-      return solve_lp_probe();
-    }
-
-    TwoStepOptions probe_opts = solver_;
-    const bool have_warm = !basis_.empty();
-    probe_opts.warm_basis = have_warm ? &basis_ : nullptr;
-    TwoStepResult r = solve_two_step(rm_, probe_opts);
-    if (have_warm) {
-      if (r.stats.warm_start_used) ++stats_.warm_hits;
-      else ++stats_.basis_fallbacks;
-    }
-    if (r.stats.lp_stage.dual_iterations > 0) ++stats_.dual_solves;
-    if (!r.basis.empty()) basis_ = r.basis;
-    return r;
-  }();
+  const char* mode = lp ? "lp" : "two_step";
+  TwoStepResult res;
+  // A cold session rebuilds before every probe, which also resets the
+  // engine and both basis chains.
+  if (!warm_) built_ = false;
+  if (!ensure_model(st_target)) {
+    mode = "trivial_infeasible";
+    res.status = milp::SolveStatus::kInfeasible;
+  } else {
+    res = lp ? run_lp() : run_two_step();
+  }
 
   obs::Event ev(solver_.events, "probe.solve");
   if (ev.active()) {

@@ -135,8 +135,9 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
         verify::certify_floorplan(fspec, baseline, opts.verify.tol).ok;
   };
 
-  // Incremental-probe accounting, folded in from every session the flow
-  // opens (Step 1's search, the presearch geometries, the Delta loop).
+  // Incremental-probe accounting, folded in exactly once from every session
+  // the flow opens: one per presearch geometry, the dropped loser of the
+  // rotation-round-0 comparison included (Step 1 reports its own).
   auto fold_session = [&](const ProbeSessionStats& ps) {
     res.probe_warm_hits += ps.warm_hits;
     res.probe_crash_starts += ps.crash_starts;
@@ -196,89 +197,6 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
       }
     }
 
-    // Candidates depend on positions and slack only, not on st_target. In
-    // fault mode unfrozen critical paths must be able to shift rigidly, so
-    // the single-move pruning gets extra additive headroom (the joint path
-    // constraints in the model remain exact).
-    CandidateOptions cand_opts = opts.candidates;
-    if (fault_mode)
-      cand_opts.slack_additive = std::max(cand_opts.slack_additive, 4.0);
-    auto filter_blocked = [&](std::vector<std::vector<int>>& cand_sets) {
-      if (!fault_mode) return;
-      for (int op = 0; op < design.num_ops(); ++op) {
-        if (frozen[static_cast<std::size_t>(op)]) continue;
-        std::erase_if(cand_sets[static_cast<std::size_t>(op)], [&](int pe) {
-          return blocked[static_cast<std::size_t>(pe)] != 0;
-        });
-      }
-    };
-    std::vector<std::vector<int>> candidates = compute_candidates(
-        design, base, frozen, monitored, res.cpd_before_ns, cand_opts);
-    filter_blocked(candidates);
-
-    double st_target = std::max(res.st_target_initial, 1e-12);
-    if (opts.lp_presearch) {
-      obs::Span presearch_span("remap.presearch");
-      TwoStepOptions probe_opts = opts.solver;
-      probe_opts.lp_only = true;
-      // Smallest LP-feasible target (with path constraints) for a given
-      // frozen geometry: the start of the Delta loop. One probe session per
-      // geometry — its probes differ only in the stress rows' RHS.
-      auto presearch = [&](const Floorplan& b,
-                           const std::vector<std::vector<int>>& cand) {
-        RemapModelSpec spec;
-        spec.design = &design;
-        spec.base = &b;
-        spec.frozen = frozen;
-        spec.candidates = cand;
-        spec.monitored = &monitored;
-        spec.cpd_ns = res.cpd_before_ns;
-        // Only the verdict is read, and no objective changes a verdict;
-        // kMinPerturbation makes the base floorplan's crash basis dual
-        // feasible, so each geometry's first probe needs no primal phase 1.
-        spec.objective = ObjectiveMode::kMinPerturbation;
-        ProbeSession session(std::move(spec), probe_opts, opts.warm_probes);
-        auto lp_feasible = [&](double target) {
-          return session.solve(target).status == milp::SolveStatus::kOptimal;
-        };
-        double lo = std::max(res.st_target_initial, 1e-12);
-        double found = lo;
-        if (!lp_feasible(lo)) {
-          double hi = res.st_max_before;
-          for (int probe = 0; probe < opts.lp_presearch_probes; ++probe) {
-            const double mid = 0.5 * (lo + hi);
-            if (lp_feasible(mid)) hi = mid;
-            else lo = mid;
-          }
-          found = hi;
-        }
-        fold_session(session.stats());
-        return found;
-      };
-      st_target = presearch(base, candidates);
-      if (opts.mode == RemapMode::kRotate && round == 0) {
-        // The overlap score is only a proxy: on small fabrics with many
-        // contexts a rotation that spreads the frozen groups can *hurt*
-        // the reachable balance. Compare against the un-rotated geometry
-        // by the quantity that matters and keep the better plan.
-        std::vector<std::vector<int>> id_cand =
-            compute_candidates(design, baseline, frozen, monitored,
-                               res.cpd_before_ns, cand_opts);
-        filter_blocked(id_cand);
-        const double id_target = presearch(baseline, id_cand);
-        if (id_target < st_target - 1e-12) {
-          base = baseline;
-          candidates = id_cand;
-          st_target = id_target;
-          obs::Progress::global().logf(
-              opts.verbose, "  [remap] identity geometry wins presearch");
-        }
-      }
-      presearch_span.arg("st_target", st_target);
-      obs::Progress::global().logf(
-          opts.verbose, "  [remap] lp presearch -> st_target=%.4f", st_target);
-    }
-
     TwoStepOptions solver_opts = opts.solver;
     // Exact strategies drive the rounding mode from the strategy table
     // (--strategy beats any ad-hoc solver.strategy setting); the portfolio
@@ -291,25 +209,89 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
     // the job when the dive dead-ends.
     if (fault_mode) solver_opts.bnb_fallback = true;
     // One switch turns on both certification layers: the milp-level
-    // solution check inside solve_two_step and the cgrra-level floorplan
-    // check below.
+    // solution check inside the session's solves and the cgrra-level
+    // floorplan check below.
     if (opts.verify.enabled) solver_opts.verify = opts.verify;
-    // The Delta loop's attempts share one geometry (base/candidates are
-    // final once the presearch picked them), so one session carries the
-    // model and the chained basis across the whole scan + refinement.
-    RemapModelSpec attempt_spec;
-    attempt_spec.design = &design;
-    attempt_spec.base = &base;
-    attempt_spec.frozen = frozen;
-    attempt_spec.candidates = candidates;
-    attempt_spec.monitored = &monitored;
-    attempt_spec.cpd_ns = res.cpd_before_ns;
-    attempt_spec.objective = opts.objective;
-    // The heuristic strategies need the same spec (st_target patched per
-    // attempt) after attempt_spec is moved into the session.
-    RemapModelSpec heur_spec = attempt_spec;
-    ProbeSession attempt_session(std::move(attempt_spec), solver_opts,
-                                 opts.warm_probes);
+
+    // Candidates depend on positions and slack only, not on st_target. In
+    // fault mode unfrozen critical paths must be able to shift rigidly, so
+    // the single-move pruning gets extra additive headroom (the joint path
+    // constraints in the model remain exact).
+    CandidateOptions cand_opts = opts.candidates;
+    if (fault_mode)
+      cand_opts.slack_additive = std::max(cand_opts.slack_additive, 4.0);
+    // One probe session per frozen geometry: the presearch's LP probes and
+    // the Delta loop's attempts differ only in the stress rows' RHS, so the
+    // session builds the model once and carries it across both (each with
+    // its own basis chain). The session borrows `b`.
+    auto open_session = [&](const Floorplan& b) {
+      RemapModelSpec spec;
+      spec.design = &design;
+      spec.base = &b;
+      spec.frozen = frozen;
+      spec.candidates = compute_candidates(design, b, frozen, monitored,
+                                           res.cpd_before_ns, cand_opts);
+      if (fault_mode) {
+        for (int op = 0; op < design.num_ops(); ++op) {
+          if (frozen[static_cast<std::size_t>(op)]) continue;
+          std::erase_if(spec.candidates[static_cast<std::size_t>(op)],
+                        [&](int pe) {
+                          return blocked[static_cast<std::size_t>(pe)] != 0;
+                        });
+        }
+      }
+      spec.monitored = &monitored;
+      spec.cpd_ns = res.cpd_before_ns;
+      spec.objective = opts.objective;
+      return ProbeSession(std::move(spec), solver_opts, opts.warm_probes);
+    };
+    ProbeSession session = open_session(base);
+
+    double st_target = std::max(res.st_target_initial, 1e-12);
+    if (opts.lp_presearch) {
+      obs::Span presearch_span("remap.presearch");
+      // Smallest LP-feasible target (with path constraints) for the
+      // session's geometry: the start of the Delta loop.
+      auto presearch = [&](ProbeSession& ps) {
+        auto lp_feasible = [&](double target) {
+          return ps.solve_lp(target).status == milp::SolveStatus::kOptimal;
+        };
+        double lo = std::max(res.st_target_initial, 1e-12);
+        if (lp_feasible(lo)) return lo;
+        double hi = res.st_max_before;
+        for (int probe = 0; probe < opts.lp_presearch_probes; ++probe) {
+          const double mid = 0.5 * (lo + hi);
+          if (lp_feasible(mid)) hi = mid;
+          else lo = mid;
+        }
+        return hi;
+      };
+      st_target = presearch(session);
+      if (opts.mode == RemapMode::kRotate && round == 0) {
+        // The overlap score is only a proxy: on small fabrics with many
+        // contexts a rotation that spreads the frozen groups can *hurt*
+        // the reachable balance. Compare against the un-rotated geometry
+        // by the quantity that matters and keep the better plan; the
+        // loser's session is dropped (its probes still count).
+        ProbeSession id_session = open_session(baseline);
+        const double id_target = presearch(id_session);
+        if (id_target < st_target - 1e-12) {
+          fold_session(session.stats());
+          session = std::move(id_session);
+          st_target = id_target;
+          obs::Progress::global().logf(
+              opts.verbose, "  [remap] identity geometry wins presearch");
+        } else {
+          fold_session(id_session.stats());
+        }
+      }
+      presearch_span.arg("st_target", st_target);
+      obs::Progress::global().logf(
+          opts.verbose, "  [remap] lp presearch -> st_target=%.4f", st_target);
+    }
+    // The geometry the Delta loop runs on: `base`, or `baseline` when the
+    // identity geometry won the presearch.
+    const Floorplan& geometry = *session.spec().base;
 
     // Attempts one st_target: solve, validate, and re-check the CPD with a
     // full STA (Algorithm 1 lines 10-17). Returns true and fills
@@ -345,8 +327,9 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
       if (opts.verify.enabled) ls_opts.tol = opts.verify.tol;
 
       if (opts.strategy == SolveStrategy::kLocalSearch) {
-        heur_spec.st_target = target;
-        const LocalSearchResult lsr = local_search_remap(heur_spec, ls_opts);
+        RemapModelSpec ls_spec = session.spec();
+        ls_spec.st_target = target;
+        const LocalSearchResult lsr = local_search_remap(ls_spec, ls_opts);
         res.ls_stats.add(lsr.stats);
         solved_ok = lsr.feasible;
         oracle_certified = lsr.certified;
@@ -356,7 +339,7 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
         PortfolioOptions popts;
         popts.ls = ls_opts;
         const PortfolioResult pr =
-            race_portfolio(attempt_session, heur_spec, target, popts);
+            race_portfolio(session, session.spec(), target, popts);
         ++res.portfolio_races;
         res.ls_stats.add(pr.ls.stats);
         res.last_solve = pr.exact.stats;
@@ -365,7 +348,7 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
           ++res.portfolio_exact_wins;
           solved_ok = true;
           solved_fp = pr.exact.floorplan;
-          vars = attempt_session.model().num_binary_vars;
+          vars = session.model().num_binary_vars;
         } else if (pr.winner == PortfolioWinner::kLocalSearch) {
           ++res.portfolio_ls_wins;
           solved_ok = true;
@@ -374,9 +357,9 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
         }
         status_str = std::string("portfolio_") + to_string(pr.winner);
       } else {
-        const TwoStepResult solved = attempt_session.solve(target);
+        const TwoStepResult solved = session.solve(target);
         res.last_solve = solved.stats;
-        vars = attempt_session.model().num_binary_vars;
+        vars = session.model().num_binary_vars;
         status_str = milp::to_string(solved.status);
         if (solved.status == milp::SolveStatus::kOptimal) {
           solved_ok = true;
@@ -390,7 +373,7 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
         if (opts.verify.enabled && !oracle_certified) {
           verify::FloorplanSpec fspec;
           fspec.design = &design;
-          fspec.reference = &base;
+          fspec.reference = &geometry;
           fspec.frozen = frozen;
           fspec.st_target = target;
           fspec.monitored = &monitored;
@@ -477,7 +460,7 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
           last_fail = mid;
         }
       }
-      fold_session(attempt_session.stats());
+      fold_session(session.stats());
 
       const StressMap stress1 = compute_stress(design, found);
       const bool stress_improved =
@@ -528,7 +511,7 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
           .arg("seconds", res.seconds);
       return res;
     }
-    fold_session(attempt_session.stats());
+    fold_session(session.stats());
     // No feasible floorplan with this rotation: re-draw (Rotate) or give up.
   }
 

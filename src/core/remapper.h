@@ -65,12 +65,14 @@ struct RemapOptions {
   int rotation_restarts = 12;
   int rotation_retries = 2;  // re-draw rotations if the plan can't close
 
-  // Incremental probe sessions (core/probe_session.h) for Step 1's binary
-  // search, the LP presearch and the Delta-relaxation retry loop: the remap
-  // model is built once per geometry, only the stress-target rows are
-  // patched between attempts, and each LP warm-starts from the previous
-  // attempt's basis. Off = the legacy full rebuild + cold solve per
-  // attempt (the `--warm-probes off` escape hatch).
+  // Incremental probe sessions (core/probe_session.h) for the LP presearch
+  // and the Delta-relaxation retry loop, which share one session per
+  // geometry, and for the ILP-confirmed Step-1 search: the remap model is
+  // built once per geometry, only the stress-target rows are patched
+  // between probes, and each probe warm-starts from its chain's previous
+  // basis. Off = a full rebuild before every probe, with no basis carried
+  // over (the `--warm-probes off` escape hatch): the same verdicts, though
+  // a dive may land on a different floorplan.
   bool warm_probes = true;
 
   std::uint64_t seed = 1;

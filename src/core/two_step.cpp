@@ -19,12 +19,11 @@ namespace {
 // failed certification rejects the result instead of shipping an illegal
 // floorplan. Returns true when the result survives.
 bool certify_accept(const RemapModel& rm, const std::vector<double>& x,
-                    const TwoStepOptions& opts, bool relaxed,
-                    TwoStepResult& res) {
+                    const TwoStepOptions& opts, TwoStepResult& res) {
   if (!opts.verify.enabled) return true;
   obs::Span span("two_step.certify");
   const verify::Certificate cert =
-      verify::certify_solution(rm.model, x, opts.verify.tol, relaxed);
+      verify::certify_solution(rm.model, x, opts.verify.tol);
   span.arg("ok", cert.ok);
   if (cert.ok) {
     res.certified = true;
@@ -81,7 +80,7 @@ void run_bnb(const milp::Model& model, const RemapModel& rm,
   if (mip.has_solution()) {
     res.status = milp::SolveStatus::kOptimal;
     res.floorplan = rm.decode(mip.x);
-    certify_accept(rm, mip.x, opts, /*relaxed=*/false, res);
+    certify_accept(rm, mip.x, opts, res);
   } else {
     res.status = mip.status;
   }
@@ -253,7 +252,7 @@ bool iterative_dive(const RemapModel& rm, const TwoStepOptions& opts,
   // is certified at full (integral) strictness.
   res.status = milp::SolveStatus::kOptimal;
   res.floorplan = rm.decode(lp.x);
-  certify_accept(rm, lp.x, opts, /*relaxed=*/false, res);
+  certify_accept(rm, lp.x, opts, res);
   finish_span(true);
   return true;
 }
@@ -275,7 +274,6 @@ TwoStepResult solve_two_step(const RemapModel& rm,
 
   obs::Span solve_span("two_step.solve");
   solve_span.arg("strategy", to_string(opts.strategy))
-      .arg("lp_only", opts.lp_only)
       .arg("vars", rm.num_binary_vars);
   obs::Metrics::global().counter("two_step.solves").add(1);
   TwoStepResult res;
@@ -288,7 +286,6 @@ TwoStepResult solve_two_step(const RemapModel& rm,
     obs::Event ev(opts.events, "twostep.solve");
     if (ev.active()) {
       ev.arg("strategy", to_string(opts.strategy))
-          .arg("lp_only", opts.lp_only)
           .arg("status", milp::to_string(res.status))
           .arg("lp_iterations", res.stats.lp_iterations)
           .arg("mip_lp_iterations", res.stats.mip_lp_iterations)
@@ -306,14 +303,14 @@ TwoStepResult solve_two_step(const RemapModel& rm,
   }
 
   // --- Pure one-shot ILP (scaling baseline).
-  if (opts.strategy == RoundingStrategy::kNone && !opts.lp_only) {
+  if (opts.strategy == RoundingStrategy::kNone) {
     run_bnb(rm.model, rm, opts, res);
     finish();
     return res;
   }
 
   // --- Default: iterated LP dive.
-  if (opts.strategy == RoundingStrategy::kIterativeDive && !opts.lp_only) {
+  if (opts.strategy == RoundingStrategy::kIterativeDive) {
     if (iterative_dive(rm, opts, res)) {
       finish();
       return res;
@@ -325,7 +322,7 @@ TwoStepResult solve_two_step(const RemapModel& rm,
     return res;
   }
 
-  // --- Step A: LP relaxation (lp_only, one-shot fixing, randomized).
+  // --- Step A: LP relaxation (one-shot fixing, randomized).
   milp::LpResult lp;
   {
     obs::Span lp_span("two_step.lp_relax");
@@ -352,15 +349,6 @@ TwoStepResult solve_two_step(const RemapModel& rm,
     finish();
     return res;
   }
-  if (opts.lp_only) {
-    // The binary-searched feasibility oracles trust this verdict, so the LP
-    // point is certified too (integrality waived on the relaxation).
-    res.status = milp::SolveStatus::kOptimal;
-    certify_accept(rm, lp.x, opts, /*relaxed=*/true, res);
-    finish();
-    return res;
-  }
-
   // --- Step B: pre-map (fix) variables once.
   milp::Model fixed_model = rm.model;
   int fixed = 0;

@@ -41,16 +41,13 @@ struct TwoStepOptions {
   // Re-solve dead-ended dives with full branch & bound (expensive; the
   // Delta relaxation of Algorithm 1 usually recovers more cheaply).
   bool bnb_fallback = false;
-  // Check feasibility with the LP relaxation only (no integer solve); used
-  // inside the Step-1 binary search where only a lower bound is needed.
-  bool lp_only = false;
   milp::LpOptions lp;
   milp::MipOptions mip;
   std::uint64_t seed = 1;  // randomized rounding only
-  // Warm start for the first LP solved (the dive's root LP, or the lp_only
-  // relaxation): a basis previously returned for a model with the same
-  // shape, typically the previous probe of an incremental ST_target
-  // session. Stale (wrong-sized) or singular bases are detected inside the
+  // Warm start for the first LP solved (the dive's root LP, or the one-shot
+  // strategies' LP relaxation): a basis previously returned for a model
+  // with the same shape, typically the previous probe of an incremental
+  // ST_target session. Stale (wrong-sized) or singular bases are detected inside the
   // simplex engine and silently fall back to the cold slack basis;
   // stats.warm_start_used reports what actually happened. Not owned — must
   // outlive the solve.
@@ -85,7 +82,7 @@ struct TwoStepStats {
   // attempt, or the pure one-shot ILP strategy).
   std::optional<milp::SolveStatus> lp_status;
   // Status of the last residual branch & bound; empty when none ran (a
-  // dive that finished on its own, or an lp_only solve).
+  // dive that finished on its own, or a ProbeSession::solve_lp probe).
   std::optional<milp::SolveStatus> mip_status;
   bool fallback_unfixed = false;  // dive/fixing dead-ended; B&B re-solve
   int mip_threads = 1;            // worker threads of the last B&B run
@@ -100,10 +97,11 @@ struct TwoStepStats {
 };
 
 struct TwoStepResult {
-  // kOptimal: integer floorplan found (or LP feasible when lp_only).
-  // kInfeasible: no floorplan exists at this st_target (or limits hit).
+  // kOptimal: integer floorplan found (or LP feasible, from
+  // ProbeSession::solve_lp). kInfeasible: no floorplan exists at this
+  // st_target (or limits hit).
   milp::SolveStatus status = milp::SolveStatus::kNumericalError;
-  Floorplan floorplan;  // empty when lp_only or infeasible
+  Floorplan floorplan;  // empty for an LP probe or when infeasible
   TwoStepStats stats;
   // Final basis of the last LP solved (empty when no LP ran, e.g. the pure
   // one-shot ILP strategy). Feed it back through opts.warm_basis to

@@ -43,6 +43,20 @@ constexpr double kPivotZero = 1e-9;   // |w_i| below this cannot pivot
 constexpr long kBlandTrigger = 2000;  // stalled iterations before Bland mode
 constexpr double kRhoZero = 1e-12;    // pricing-update row entries below this
                                       // are treated as exact zeros
+// LU eta updates between refactorizations.
+constexpr int kRefactorInterval = 100;
+// Full reduced-cost refresh at least every this many incremental updates
+// (numerical hygiene; refactorizations force one too).
+constexpr int kPricingRefreshInterval = 64;
+// Exact dual steepest-edge weight recompute every this many dual pivots
+// (m BTRANs each time; keeps long dual runs from drifting).
+constexpr int kDseRecomputeInterval = 128;
+#ifndef NDEBUG
+// Debug builds cross-check the incremental weights against an exact
+// recompute every this many dual pivots (CGRAF_DCHECK). Release builds
+// have no check, so the constant exists only where it is read.
+constexpr int kDseCheckInterval = 64;
+#endif
 
 }  // namespace
 
@@ -226,7 +240,7 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
   // of every column (0 for basics) and is maintained across pivots by a
   // rank-one update from the BTRAN'd pivot row; it is only trusted while
   // `d_valid` holds, and is rebuilt exactly from scratch on phase changes,
-  // refactorizations, and every pricing_refresh_interval updates.
+  // refactorizations, and every kPricingRefreshInterval updates.
   std::vector<double>& d = w.d;
   d.assign(static_cast<size_t>(total), 0.0);
   bool d_valid = false;
@@ -242,10 +256,7 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
   alpha.assign(static_cast<size_t>(total), 0.0);
   alpha_mark.assign(static_cast<size_t>(total), 0);
   alpha_touched.clear();
-  const int bucket_cap =
-      opts_.candidate_bucket > 0
-          ? opts_.candidate_bucket
-          : std::clamp(total / 8, 16, 512);
+  const int bucket_cap = std::clamp(total / 8, 16, 512);
 
   auto eligible = [&](int j, double dj) {
     const ColStatus s = w.status[static_cast<size_t>(j)];
@@ -290,7 +301,8 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
       scanned = k + 1;
       if (eligible(j, d[static_cast<size_t>(j)])) bucket.push_back(j);
     }
-    rotate = (rotate + scanned) % total;
+    // An empty LP (no columns, no rows) has nothing to rotate over.
+    if (total > 0) rotate = (rotate + scanned) % total;
     if (static_cast<int>(bucket.size()) > bucket_cap) {
       std::nth_element(bucket.begin(), bucket.begin() + bucket_cap,
                        bucket.end(), [&](int a, int b) {
@@ -419,17 +431,16 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
       }
       res.dual_used = true;
 
-      // --- Leaving-row pricing weights. Steepest edge wants
-      // w_i = ||B^-T e_i||^2; a slack start (B = -I) makes the unit init
-      // exact for free, a warm start can often reuse the engine's cached
-      // weights from the previous dual run on the same basis, and anything
-      // else starts approximate and converges via the periodic exact
-      // recompute. Devex keeps cheap reference weights instead.
-      const bool steepest = opts_.dual_pricing == DualPricing::kSteepestEdge;
+      // --- Leaving-row pricing weights. Dual steepest edge
+      // (Forrest–Goldfarb) wants w_i = ||B^-T e_i||^2; a slack start
+      // (B = -I) makes the unit init exact for free, a warm start can often
+      // reuse the engine's cached weights from the previous dual run on the
+      // same basis, and anything else starts approximate and converges via
+      // the periodic exact recompute.
       std::vector<double>& dw = w.dw;
       dw.assign(static_cast<size_t>(m_), 1.0);
-      bool weights_exact = steepest && !warmed;
-      if (steepest && warmed && dse_exact_ && dse_basis_cols_ == w.basis) {
+      bool weights_exact = !warmed;
+      if (warmed && dse_exact_ && dse_basis_cols_ == w.basis) {
         dw = dse_weights_;
         weights_exact = true;
       }
@@ -474,8 +485,7 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
               opts_.cancel->load(std::memory_order_relaxed)))) {
           break;  // the primal loop reports the limit/cancel status
         }
-        if (!d_valid ||
-            updates_since_refresh >= opts_.pricing_refresh_interval) {
+        if (!d_valid || updates_since_refresh >= kPricingRefreshInterval) {
           refresh_d();
         }
 
@@ -695,42 +705,25 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
         {
           const double t0 = now_seconds();
           const double inv = 1.0 / w_r;
-          if (steepest) {
-            double beta_r = 0.0;
-            for (const double v : rho) beta_r += v * v;
-            tau = rho;
-            w.lu.ftran(tau);
-            for (int i = 0; i < m_; ++i) {
-              if (i == r) continue;
-              const double wi = spike[static_cast<size_t>(i)];
-              if (wi == 0.0) continue;
-              const double k = wi * inv;
-              double nw = dw[static_cast<size_t>(i)] -
-                          2.0 * k * tau[static_cast<size_t>(i)] +
-                          k * k * beta_r;
-              if (nw < 1e-10) {
-                nw = 1e-10;  // cancellation floor: no longer exact
-                weights_exact = false;
-              }
-              dw[static_cast<size_t>(i)] = nw;
+          double beta_r = 0.0;
+          for (const double v : rho) beta_r += v * v;
+          tau = rho;
+          w.lu.ftran(tau);
+          for (int i = 0; i < m_; ++i) {
+            if (i == r) continue;
+            const double wi = spike[static_cast<size_t>(i)];
+            if (wi == 0.0) continue;
+            const double k = wi * inv;
+            double nw = dw[static_cast<size_t>(i)] -
+                        2.0 * k * tau[static_cast<size_t>(i)] +
+                        k * k * beta_r;
+            if (nw < 1e-10) {
+              nw = 1e-10;  // cancellation floor: no longer exact
+              weights_exact = false;
             }
-            dw[static_cast<size_t>(r)] = std::max(beta_r * inv * inv, 1e-10);
-          } else {
-            const double gr = dw[static_cast<size_t>(r)];
-            for (int i = 0; i < m_; ++i) {
-              if (i == r) continue;
-              const double wi = spike[static_cast<size_t>(i)];
-              if (wi == 0.0) continue;
-              const double cand = wi * inv * wi * inv * gr;
-              if (cand > dw[static_cast<size_t>(i)])
-                dw[static_cast<size_t>(i)] = cand;
-            }
-            dw[static_cast<size_t>(r)] = std::max(gr * inv * inv, 1.0);
-            if (dw[static_cast<size_t>(r)] > 1e10) {
-              std::fill(dw.begin(), dw.end(), 1.0);
-              ++res.stats.steepest_edge_resets;
-            }
+            dw[static_cast<size_t>(i)] = nw;
           }
+          dw[static_cast<size_t>(r)] = std::max(beta_r * inv * inv, 1e-10);
           res.stats.dse_seconds += now_seconds() - t0;
         }
 
@@ -738,7 +731,7 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
 
         // --- LU update / periodic refactorization.
         const double t_upd = now_seconds();
-        const bool updated = w.lu.num_updates() < opts_.refactor_interval &&
+        const bool updated = w.lu.num_updates() < kRefactorInterval &&
                              w.lu.update(spike, r);
         res.stats.factor_seconds += now_seconds() - t_upd;
         if (!updated) {
@@ -752,36 +745,30 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
         // weights. The check only fires while the weights are provably
         // exact modulo roundoff (exact init or last exact recompute, no
         // cancellation floor hit since).
-        if (steepest) {
-          ++since_recompute;
+        ++since_recompute;
 #ifndef NDEBUG
-          if (opts_.dse_check_interval > 0 && weights_exact &&
-              since_recompute % opts_.dse_check_interval == 0) {
-            std::vector<double> exact;
-            exact_weights(exact);
-            for (int i = 0; i < m_; ++i) {
-              const double e = exact[static_cast<size_t>(i)];
-              CGRAF_DCHECK(std::abs(dw[static_cast<size_t>(i)] - e) <=
-                           5e-2 * (1.0 + e));
-            }
+        if (weights_exact && since_recompute % kDseCheckInterval == 0) {
+          std::vector<double> exact;
+          exact_weights(exact);
+          for (int i = 0; i < m_; ++i) {
+            const double e = exact[static_cast<size_t>(i)];
+            CGRAF_DCHECK(std::abs(dw[static_cast<size_t>(i)] - e) <=
+                         5e-2 * (1.0 + e));
           }
+        }
 #endif
-          if (opts_.dse_recompute_interval > 0 &&
-              since_recompute >= opts_.dse_recompute_interval) {
-            exact_weights(dw);
-            weights_exact = true;
-            since_recompute = 0;
-            ++res.stats.steepest_edge_resets;
-          }
+        if (since_recompute >= kDseRecomputeInterval) {
+          exact_weights(dw);
+          weights_exact = true;
+          since_recompute = 0;
+          ++res.stats.steepest_edge_resets;
         }
       }
 
       // Park the weights for the next warm re-solve on this engine.
-      if (steepest) {
-        dse_basis_cols_ = w.basis;
-        dse_weights_ = dw;
-        dse_exact_ = weights_exact;
-      }
+      dse_basis_cols_ = w.basis;
+      dse_weights_ = dw;
+      dse_exact_ = weights_exact;
     }
   }
 
@@ -892,8 +879,7 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
         return finish(SolveStatus::kOptimal);
       }
     } else {
-      if (!d_valid ||
-          updates_since_refresh >= opts_.pricing_refresh_interval) {
+      if (!d_valid || updates_since_refresh >= kPricingRefreshInterval) {
         refresh_d();
       }
       const double t_price = now_seconds();
@@ -1055,7 +1041,7 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
     }
 
     const double t_upd = now_seconds();
-    const bool updated = w.lu.num_updates() < opts_.refactor_interval &&
+    const bool updated = w.lu.num_updates() < kRefactorInterval &&
                          w.lu.update(spike, leave_pos);
     res.stats.factor_seconds += now_seconds() - t_upd;
     if (!updated) {

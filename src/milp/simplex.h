@@ -67,37 +67,13 @@ enum class LpAlgorithm {
 
 const char* to_string(LpAlgorithm a);
 
-// Leaving-row selection weights for the dual loop.
-enum class DualPricing {
-  // Dual steepest edge (Forrest–Goldfarb): w_i ~ ||B^-T e_i||^2, updated
-  // incrementally each pivot and recomputed exactly every
-  // dse_recompute_interval iterations.
-  kSteepestEdge,
-  // Devex-style reference weights: cheaper upkeep (no extra FTRAN per
-  // pivot), approximate, reset to 1 when they overflow.
-  kDevex,
-};
-
 struct LpOptions {
   long max_iters = 500000;
   double time_limit_s = 1e18;
   double tol_feas = 1e-7;   // bound/row feasibility tolerance
   double tol_cost = 1e-7;   // reduced-cost (dual) tolerance
-  int refactor_interval = 100;
   Pricing pricing = Pricing::kCandidateList;
-  // Candidate bucket size; 0 picks clamp(total_cols / 8, 16, 512).
-  int candidate_bucket = 0;
-  // Full reduced-cost refresh at least every this many incremental updates
-  // (numerical hygiene; refactorizations force one too).
-  int pricing_refresh_interval = 64;
   LpAlgorithm algorithm = LpAlgorithm::kAutoWarm;
-  DualPricing dual_pricing = DualPricing::kSteepestEdge;
-  // Exact steepest-edge weight recompute every this many dual pivots
-  // (m BTRANs each time; keeps long dual runs from drifting). <= 0 disables.
-  int dse_recompute_interval = 128;
-  // Debug builds cross-check incremental weights against an exact recompute
-  // every this many dual pivots (CGRAF_DCHECK). <= 0 disables.
-  int dse_check_interval = 64;
   // When non-null and enabled, every solve() emits one "lp.solve" record
   // here (obs/event_log.h). The analyzer's LP-iteration totals sum these,
   // so the pointer is plumbed to EVERY engine (B&B children, dive LPs,
@@ -134,8 +110,7 @@ struct LpStageStats {
   long bound_flips = 0;          // bound-to-bound flips (dual ratio test +
                                  // dual-feasibility repair)
   long refactorizations = 0;     // basis factorizations, incl. the initial
-  long steepest_edge_resets = 0;  // pricing weights re-seeded (exact
-                                  // recompute or Devex overflow reset)
+  long steepest_edge_resets = 0;  // exact dual pricing-weight recomputes
   long dual_fallbacks = 0;       // dual requested but basis not repairable
                                  // to dual feasibility; primal ran instead
 

@@ -1,12 +1,12 @@
 // Differential harness for the incremental ST_target probes.
 //
-// Three layers over seeded random fabric/context corpora (the first and
-// the last also over the Table-I suite):
+// Four layers over seeded random fabric/context corpora (all but the
+// second also over the Table-I suite):
 //  - find_st_target's closed-form Step 1 must equal ST_low, the target at
 //    which the LP relaxation (solved warm-session and forced-cold) is
 //    feasible;
 //  - a ProbeSession with the remapper's presearch shape (frozen critical
-//    paths + monitored-path budgets, LP-only kMinPerturbation probes) must
+//    paths + monitored-path budgets, kMinPerturbation solve_lp probes) must
 //    answer a shared bisection ladder verdict-for-verdict like a cold
 //    session that rebuilds the model at every probe. Path constraints make
 //    ST_low genuinely infeasible here, so the ladders actually bisect and
@@ -14,10 +14,15 @@
 //  - the verdict gate: that presearch, crash-started from the base
 //    floorplan, must answer every probe of the remapper's presearch ladder
 //    like the kNull model solved cold from the slack basis, in the identity
-//    geometry, a rotated one and a blocked-PE one.
-// Labeled `slow` — it runs a few hundred LP searches.
+//    geometry, a rotated one and a blocked-PE one;
+//  - the merged session: a two-step solve() on the session the presearch
+//    ran on must match, bit for bit, the same solve on a fresh session, and
+//    must reuse the presearch's model.
+// Labeled `slow` — it runs a few hundred LP searches and a few hundred
+// dives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "cgrra/stress.h"
@@ -135,11 +140,10 @@ struct PresearchFixture {
     return spec;
   }
 
-  // The remapper's presearch session.
-  ProbeSession session(bool warm) const {
-    TwoStepOptions solver;
-    solver.lp_only = true;
-    return ProbeSession(spec(ObjectiveMode::kMinPerturbation), solver, warm);
+  // The remapper's session for this geometry.
+  ProbeSession session(bool warm, TwoStepOptions solver = {}) const {
+    return ProbeSession(spec(ObjectiveMode::kMinPerturbation),
+                        std::move(solver), warm);
   }
 
   // The reference presearch oracle: the kNull model, rebuilt at `target`
@@ -176,8 +180,8 @@ TEST(ProbeDifferential, SessionMatchesColdRebuildOnBisectionLadders) {
     double hi = fx.st_up;
     for (int it = 0; it < 6; ++it) {
       const double mid = 0.5 * (lo + hi);
-      const TwoStepResult rw = warm.solve(mid);
-      const TwoStepResult rc = cold.solve(mid);
+      const TwoStepResult rw = warm.solve_lp(mid);
+      const TwoStepResult rc = cold.solve_lp(mid);
       const bool vw = rw.status == milp::SolveStatus::kOptimal;
       const bool vc = rc.status == milp::SolveStatus::kOptimal;
       ASSERT_EQ(vw, vc) << spec.name << " target " << mid << " warm="
@@ -236,7 +240,7 @@ void run_presearch_gate(const std::string& name, const PresearchFixture& fx,
   ProbeSession subject = fx.session(true);
   bool first_lp = true;
   auto probe = [&](double target) {
-    const TwoStepResult r = subject.solve(target);
+    const TwoStepResult r = subject.solve_lp(target);
     const bool vs = r.status == milp::SolveStatus::kOptimal;
     const bool vr = fx.reference_feasible(target, &totals.reference_iterations);
     EXPECT_EQ(vs, vr) << name << " target " << target << " subject="
@@ -317,6 +321,90 @@ TEST(ProbeDifferential, CrashStartedPresearchMatchesColdNullVerdicts) {
               totals.reference_iterations);
 }
 
+// The remapper's presearch ladder on `session`: ST_low, then a bisection
+// over [ST_low, ST_up] when ST_low is LP infeasible. Returns the target the
+// Delta loop starts from.
+double presearch_target(ProbeSession& session, const PresearchFixture& fx) {
+  auto lp_feasible = [&](double target) {
+    return session.solve_lp(target).status == milp::SolveStatus::kOptimal;
+  };
+  double lo = std::max(fx.st_low, 1e-12);
+  if (lp_feasible(lo)) return lo;
+  double hi = fx.st_up;
+  for (int it = 0; it < RemapOptions{}.lp_presearch_probes; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    if (lp_feasible(mid)) hi = mid;
+    else lo = mid;
+  }
+  return hi;
+}
+
+TEST(ProbeDifferential, DeltaLoopOnThePresearchSessionMatchesAFreshSession) {
+  // One session per geometry serves the presearch (solve_lp) and the Delta
+  // loop (solve). The two keep separate basis chains and the patched model
+  // is bit-identical to a fresh build, so the first attempt after the
+  // presearch must dive exactly like a session that never ran an LP probe.
+  std::vector<workloads::BenchmarkSpec> specs = corpus(50);
+  for (const auto& spec : workloads::table1_specs(false)) specs.push_back(spec);
+  // The remapper's solver, with a short ban budget and a per-LP pivot cap
+  // so that the largest Table-I dives stay affordable. Both sides run the
+  // same options, so the identity claim is unaffected.
+  TwoStepOptions solver = default_remap_solver_options();
+  solver.mip.num_threads = 1;
+  solver.dive_ban_budget = 4;
+  solver.lp.max_iters = 3000;
+  int sessions = 0;
+  int optimal = 0;
+  int reused = 0;
+  for (const auto& spec : specs) {
+    const auto bench = workloads::generate_benchmark(spec);
+    for (const bool rotate : {false, true}) {
+      const PresearchFixture fx(bench, rotate);
+      if (fx.st_up <= 0.0) continue;
+      const std::string name = spec.name + (rotate ? " rotated" : " identity");
+      ProbeSession merged = fx.session(true, solver);
+      const double target = presearch_target(merged, fx);
+      const bool model_live = !merged.model().trivially_infeasible;
+      const int rebuilds = merged.stats().model_rebuilds;
+      const TwoStepResult rm = merged.solve(target);
+      if (model_live) {
+        EXPECT_EQ(merged.stats().model_rebuilds, rebuilds) << name;
+        ++reused;
+      }
+
+      ProbeSession fresh = fx.session(true, solver);
+      const TwoStepResult rf = fresh.solve(target);
+      ++sessions;
+      optimal += rf.status == milp::SolveStatus::kOptimal ? 1 : 0;
+      EXPECT_EQ(rm.status, rf.status) << name << " target " << target;
+      EXPECT_EQ(rm.floorplan.op_to_pe, rf.floorplan.op_to_pe) << name;
+      EXPECT_EQ(rm.stats.dive_rounds, rf.stats.dive_rounds) << name;
+      EXPECT_EQ(rm.stats.lp_iterations, rf.stats.lp_iterations) << name;
+      // The first attempt starts from the slack basis on both sides.
+      EXPECT_FALSE(rm.stats.warm_start_used) << name;
+      // And the patched model is the fresh build, row bound for row bound.
+      const milp::Model& pm = merged.model().model;
+      const milp::Model& fm = fresh.model().model;
+      ASSERT_EQ(pm.num_constraints(), fm.num_constraints()) << name;
+      for (int r = 0; r < pm.num_constraints(); ++r) {
+        ASSERT_EQ(pm.constraint(r).lb, fm.constraint(r).lb) << name << " row "
+                                                             << r;
+        ASSERT_EQ(pm.constraint(r).ub, fm.constraint(r).ub) << name << " row "
+                                                             << r;
+      }
+    }
+  }
+  // Both verdicts must occur and the presearch model must be reused, or
+  // this test proves nothing.
+  EXPECT_GT(sessions, 100);
+  EXPECT_GT(optimal, 0);
+  EXPECT_LT(optimal, sessions);
+  EXPECT_GT(reused, 100);
+  std::printf("[merged] %d sessions, %d optimal first attempts, %d reused "
+              "the presearch model\n",
+              sessions, optimal, reused);
+}
+
 TEST(ProbeDifferential, ClosedFormStTargetMatchesTheLp) {
   // Step 1 proper (no path constraints): the LP relaxation of the
   // all-candidates model is feasible at ST_low — the uniform point
@@ -340,11 +428,9 @@ TEST(ProbeDifferential, ClosedFormStTargetMatchesTheLp) {
     for (auto& c : mspec.candidates)
       for (int pe = 0; pe < n_pes; ++pe) c.push_back(pe);
     mspec.objective = ObjectiveMode::kNull;
-    TwoStepOptions solver;
-    solver.lp_only = true;
     for (const bool warm : {true, false}) {
-      ProbeSession session(mspec, solver, warm);
-      const TwoStepResult lp = session.solve(st_low);
+      ProbeSession session(mspec, {}, warm);
+      const TwoStepResult lp = session.solve_lp(st_low);
       EXPECT_EQ(lp.status, milp::SolveStatus::kOptimal)
           << spec.name << (warm ? " warm" : " cold") << " LP at ST_low "
           << milp::to_string(lp.status);

@@ -1,7 +1,13 @@
 // Behavioural coverage of the RemapOptions knobs.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/remapper.h"
+#include "obs/event_log.h"
+#include "obs/json_reader.h"
 #include "workloads/suite.h"
 
 namespace cgraf::core {
@@ -97,6 +103,52 @@ TEST(RemapperOptions, ReportsSolverStatistics) {
   EXPECT_GE(r.num_frozen_ops, 1);
   if (r.improved) {
     EXPECT_GT(r.last_solve.lp_iterations + r.last_solve.mip_nodes, 0);
+  }
+}
+
+// The LP presearch's (target, status) probe sequence, read back from the
+// probe.solve records of one remap.
+std::vector<std::pair<double, std::string>> presearch_probes(
+    const workloads::GeneratedBenchmark& bench, RemapOptions opts) {
+  obs::EventLog log;
+  log.open_memory();
+  opts.solver.events = &log;
+  aging_aware_remap(bench.design, bench.baseline, opts);
+  const std::string text = log.memory_contents();
+  std::vector<std::pair<double, std::string>> probes;
+  std::size_t start = 0;
+  while (start < text.size()) {
+    std::size_t end = text.find('\n', start);
+    if (end == std::string::npos) end = text.size();
+    obs::JsonValue rec;
+    std::string error;
+    EXPECT_TRUE(obs::parse_json(text.substr(start, end - start), &rec, &error))
+        << error;
+    if (rec.str_or("type", "") == "probe.solve" &&
+        rec.str_or("mode", "") == "lp") {
+      probes.emplace_back(rec.num_or("target", 0.0),
+                          rec.str_or("status", ""));
+    }
+    start = end + 1;
+  }
+  return probes;
+}
+
+// With RemapOptions::verify on, the presearch's LP probes run on the same
+// session as the Delta loop and so are certified too (integrality waived).
+// On working code every LP point passes, so the bisection probes the same
+// targets, reaches the same verdicts and hands the Delta loop the same
+// starting target as an unverified remap.
+TEST(RemapperOptions, VerifiedPresearchKeepsItsTargets) {
+  for (const std::uint64_t seed : {9u, 10u}) {
+    const auto bench = bench_for(seed);
+    RemapOptions plain;
+    RemapOptions verified;
+    verified.verify.enabled = true;
+    const auto a = presearch_probes(bench, plain);
+    const auto b = presearch_probes(bench, verified);
+    ASSERT_FALSE(a.empty()) << "seed " << seed;
+    EXPECT_EQ(a, b) << "seed " << seed;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cgrra/stress.h"
+#include "core/probe_session.h"
 
 namespace cgraf::core {
 namespace {
@@ -24,8 +25,7 @@ struct Fixture {
     }
   }
 
-  RemapModel model(double st_target,
-                   ObjectiveMode obj = ObjectiveMode::kMinPerturbation) {
+  RemapModelSpec spec(ObjectiveMode obj = ObjectiveMode::kMinPerturbation) {
     RemapModelSpec s;
     s.design = &design;
     s.base = &base;
@@ -33,8 +33,14 @@ struct Fixture {
     s.candidates.assign(design.ops.size(), {});
     for (auto& c : s.candidates)
       for (int pe = 0; pe < design.fabric.num_pes(); ++pe) c.push_back(pe);
-    s.st_target = st_target;
     s.objective = obj;
+    return s;
+  }
+
+  RemapModel model(double st_target,
+                   ObjectiveMode obj = ObjectiveMode::kMinPerturbation) {
+    RemapModelSpec s = spec(obj);
+    s.st_target = st_target;
     return build_remap_model(s);
   }
 };
@@ -70,14 +76,14 @@ TEST(TwoStep, NeverClaimsSuccessBelowSingleOpStress) {
 }
 
 TEST(TwoStep, LpOnlyProbesFeasibility) {
+  // The LP-feasibility oracle is ProbeSession::solve_lp: no integer solve,
+  // no floorplan, just the relaxation's verdict.
   Fixture f(8, 4);
-  TwoStepOptions opts;
-  opts.lp_only = true;
-  const TwoStepResult feasible = solve_two_step(f.model(kDmuStress), opts);
+  ProbeSession session(f.spec(), {});
+  const TwoStepResult feasible = session.solve_lp(kDmuStress);
   EXPECT_EQ(feasible.status, milp::SolveStatus::kOptimal);
   EXPECT_TRUE(feasible.floorplan.op_to_pe.empty());
-  const TwoStepResult infeasible =
-      solve_two_step(f.model(0.4 * kDmuStress), opts);
+  const TwoStepResult infeasible = session.solve_lp(0.4 * kDmuStress);
   EXPECT_EQ(infeasible.status, milp::SolveStatus::kInfeasible);
 }
 

@@ -163,9 +163,10 @@ TEST(RemapPipeline, ReportsStepOneBoundBelowFinalTarget) {
 TEST(RemapPipeline, WarmProbesMatchColdPipeline) {
   // The full pipeline with incremental warm-started probes against the
   // forced-cold escape hatch: both must pass certification and every paper
-  // invariant; the LP presearch and the Step-1 search take identical probe
-  // sequences, so the entry point of the Delta loop is the same and the
-  // two runs land on the same floorplan.
+  // invariant; the LP presearch takes identical probe sequences, so the
+  // entry point of the Delta loop is the same and the two runs reach the
+  // same outcome (not necessarily the same floorplan: a warm dive may
+  // round to a different co-optimal vertex).
   for (const std::uint64_t seed : {31ULL, 32ULL}) {
     const auto bench = make_bench(4, 4, 0.5, seed);
     RemapOptions warm_opts;

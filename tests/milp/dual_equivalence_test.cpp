@@ -40,10 +40,6 @@ TEST_P(DualEquivalence, ColdSolvesAgree) {
   if (rp.status == SolveStatus::kOptimal) {
     EXPECT_LE(m.max_violation(rd.x), 1e-6);
   }
-  // Devex must match too.
-  LpOptions devex = dual_opts;
-  devex.dual_pricing = DualPricing::kDevex;
-  expect_same(solve_lp(m, devex), rp, "cold boxed devex");
 }
 
 TEST_P(DualEquivalence, WarmResolveChainsAgree) {

@@ -46,11 +46,9 @@ Model assignment_lp(std::uint64_t seed, int ops, int pes) {
   return m;
 }
 
-LpResult solve_with(const Model& m, LpAlgorithm alg,
-                    DualPricing pricing = DualPricing::kSteepestEdge) {
+LpResult solve_with(const Model& m, LpAlgorithm alg) {
   LpOptions opts;
   opts.algorithm = alg;
-  opts.dual_pricing = pricing;
   return solve_lp(m, opts);
 }
 
@@ -85,14 +83,6 @@ TEST(DualSimplex, ColdDualAgreesWithPrimalOnStructuredModels) {
     const LpResult dual = solve_with(m, LpAlgorithm::kDual);
     expect_same(dual, primal, "assignment");
     EXPECT_FALSE(primal.dual_used);
-  }
-}
-
-TEST(DualSimplex, DevexPricingAgrees) {
-  for (const std::uint64_t seed : {4ull, 5ull}) {
-    const Model m = assignment_lp(seed, 20, 8);
-    expect_same(solve_with(m, LpAlgorithm::kDual, DualPricing::kDevex),
-                solve_with(m, LpAlgorithm::kPrimal), "devex");
   }
 }
 

@@ -106,7 +106,7 @@ std::uint64_t digest(const std::vector<SolveRow>& rows) {
 
 constexpr int kSeeds = 120;
 
-// DualEquivalence.ColdSolvesAgree: primal, dual and dual-Devex cold solves.
+// DualEquivalence.ColdSolvesAgree: primal and dual cold solves.
 std::vector<SolveRow> cold_rows(int seed) {
   Rng rng(52000 + static_cast<std::uint64_t>(seed));
   const Model m = random_boxed_lp(rng, 14, 10);
@@ -114,10 +114,7 @@ std::vector<SolveRow> cold_rows(int seed) {
   primal.algorithm = LpAlgorithm::kPrimal;
   LpOptions dual;
   dual.algorithm = LpAlgorithm::kDual;
-  LpOptions devex = dual;
-  devex.dual_pricing = DualPricing::kDevex;
-  return {row_of(solve_lp(m, primal)), row_of(solve_lp(m, dual)),
-          row_of(solve_lp(m, devex))};
+  return {row_of(solve_lp(m, primal)), row_of(solve_lp(m, dual))};
 }
 
 // DualEquivalence.WarmResolveChainsAgree: two engines (primal, auto) along
@@ -329,46 +326,46 @@ const B6Chains& b6_chains() {
 // ratio-test / pricing / allocation rework; see the file comment). --------
 
 const std::uint64_t kColdDigests[kSeeds] = {
-    0x6a5fee220169fa6fULL, 0x2b378b2dab9a0572ULL, 0x54e54c565d8d177cULL,
-    0x923ec83a8f3853d6ULL, 0xba2e9c0225b0d7d2ULL, 0x102378d5a40acc52ULL,
-    0xffc62e28ee986b6eULL, 0x0c62027348fcef55ULL, 0x31807be419ca54e1ULL,
-    0xed228990f6257478ULL, 0xdd4cd66d01c05ad3ULL, 0x78b5ebb097c6a26fULL,
-    0x96f34b5e3a4cd627ULL, 0x9cb07c9ed4e0eb8fULL, 0xcc4dcab52e9d05bbULL,
-    0x37548e898b420e2cULL, 0xfb642621de92a304ULL, 0xdada6846951ecc94ULL,
-    0x2d8dffdb1c5af444ULL, 0x2de682f42714099dULL, 0x4a3ac1e25498870eULL,
-    0x650223eb95c6ac7bULL, 0x971cc091595c0962ULL, 0x8b8682f3be1ed654ULL,
-    0x52c9fb8c47b41757ULL, 0x521bd8b99d2e0415ULL, 0x4466b8e7d4fdfc70ULL,
-    0x352b72b1637fb6daULL, 0x52c77c83d5df7caeULL, 0x7d6faad0d4336315ULL,
-    0x722774a0a4a4a4d4ULL, 0xd9de62258665b083ULL, 0x1453c9f1de722310ULL,
-    0xef2763377bc46130ULL, 0x5f0b329acdce3864ULL, 0xb56335c44bfa1e07ULL,
-    0xb981a3e0fbcb737fULL, 0x9be65d73a9ea4bccULL, 0xdd3e7b8c3fce0ffdULL,
-    0x21573b1a90e1ee9cULL, 0xef1132cb5b33a854ULL, 0x6e70d861023cfbd8ULL,
-    0x0d1ca674972ab446ULL, 0x732ea701543f3031ULL, 0x352a6c85ca8b72c4ULL,
-    0x423696dd7ac1e67bULL, 0xcac2f85e39d4541fULL, 0x0d9bf01870d37dc7ULL,
-    0x2757f043841a0fa6ULL, 0x0a02e5ddea1e5f7dULL, 0x754b9be3040aa6edULL,
-    0xfd9bfb6cece5eaefULL, 0x83afdb38fd92d926ULL, 0x12e9466cb8e3a18cULL,
-    0x3411f99b6b974631ULL, 0x29dd7b3079b4932bULL, 0x21e8131308faf0a4ULL,
-    0xc77e5867033ece9fULL, 0x6addd0b0e53d7dd5ULL, 0x99d2e25ce4f8e9b9ULL,
-    0x7f46bc9460840ff2ULL, 0x7ad6ad3de0e7961bULL, 0x0db68e9553fdf9b8ULL,
-    0xe57f162dc8122a08ULL, 0x76d6d83a2dedafbaULL, 0x0138e3952b9cac08ULL,
-    0x655a6bc5ac35e0cbULL, 0xec178fe96b660198ULL, 0xe06ca83a42260fcdULL,
-    0xd059d0d379abe3c1ULL, 0x1e079ee307903f84ULL, 0x320d3e7bd688b791ULL,
-    0x4f24e7a684d623e6ULL, 0x3c8bdcc4f4e173c7ULL, 0x04bf6d3df3148b7dULL,
-    0x5ea92d72f24eb6beULL, 0xffd4f75ec67fce0dULL, 0x71718a5c9fa7074bULL,
-    0x9559f4316f2f1f05ULL, 0xb6c3d6087f204ed6ULL, 0x0e2af4cfbd566c5eULL,
-    0x65c61e033676dc6eULL, 0x39bb55373ad06436ULL, 0x2f658690aef74fe3ULL,
-    0x455bd88e3f1a3cddULL, 0x8444bf74ef15f6bcULL, 0x1c043563e0c6dbe0ULL,
-    0xccb8bc9a6036dabdULL, 0x0be75daad23cf44eULL, 0x120d74dc96629b03ULL,
-    0x274036cb0842f595ULL, 0xa370604daea5430fULL, 0x2a61a310ea0177eeULL,
-    0x240bda3240aaa1aaULL, 0x0b3d605015669a4dULL, 0x7f9d4dec669b1ec0ULL,
-    0x35486eb8da90a07fULL, 0xa17e0d88801cdbefULL, 0x259a27f7917e0891ULL,
-    0x5d3d59346cfdfc68ULL, 0x14e3af21fe936ee0ULL, 0xd4430086e4f5d19aULL,
-    0x9973962bbadc746fULL, 0x5af5580c80e7b6cbULL, 0xcb2aff82e1e9d60fULL,
-    0xb7e1658bdc967cb0ULL, 0xac067a4a6b453019ULL, 0x5f376059a43a7c41ULL,
-    0x1b478dd6854c9424ULL, 0x2a5c3350ee9ca967ULL, 0x8d34212c935c884fULL,
-    0x78f1da67e9eeb603ULL, 0x8cc0152e9d4a2561ULL, 0xafe5eb8b3a284fe4ULL,
-    0x5c24a83b1d43c04aULL, 0x9cc870e829fe0115ULL, 0x19f27b5b38c2d6efULL,
-    0x34c2b584c5916af4ULL, 0x3dfebe7f236aeeb2ULL, 0xeb61bda07cbf9dbcULL,
+    0x2586b89763739e90ULL, 0x316f3d3599b77abaULL, 0x07a290cf58786151ULL,
+    0xd5b0cdcdac6041adULL, 0xcc4bff04f696bc7bULL, 0xface83259d4c1b87ULL,
+    0x0464e2c266099540ULL, 0x5ff3f0d67b0ebbf0ULL, 0xd5b1508f438b89c1ULL,
+    0xeb3f18f48a2db47aULL, 0xff0b3c5a37fb7a1bULL, 0xaf05232ab1ed4557ULL,
+    0x510ec700d437e1ebULL, 0x0f5c087c6f2ccc11ULL, 0x76dd416358f5a956ULL,
+    0x88fff0ded4ff714dULL, 0x803a93d1c3537f54ULL, 0x1240193827c1e2e8ULL,
+    0x909bd1804fdd7d04ULL, 0xf6ba082b42c77edaULL, 0x76d9c9e18e6392acULL,
+    0xf53f70c4c416eef0ULL, 0xa9c599f8f1cb945eULL, 0x05eab313aa4689c4ULL,
+    0x9e3106c099b45819ULL, 0xa0bc4736f82719c5ULL, 0x8fda188fbac7ce39ULL,
+    0xb9bdf6dcfd19af26ULL, 0x0df9d9b82cdbb105ULL, 0xd474406f8d18b500ULL,
+    0x362ced5f780fd34fULL, 0xade4c92ed74f5f18ULL, 0x7de1e260db51c37dULL,
+    0x6e8a7f46a0b179a8ULL, 0x6a939c2399e569c9ULL, 0x6e9a396da14110c7ULL,
+    0xdbeb43889d0e443fULL, 0x25604cded19e6e7aULL, 0x9eb7d234d2e72bcdULL,
+    0x670b09693851f9b6ULL, 0xc9606812f45fd2e0ULL, 0xaa6bbea40a81ce09ULL,
+    0x1ee73c8409de030bULL, 0x0f5e51ace1235e35ULL, 0x407c99745373084eULL,
+    0xb1338d5a0abe7ec7ULL, 0xdb03c799e786d8b3ULL, 0x1faa2183b7470ae7ULL,
+    0x1e2be72dcc8e5f42ULL, 0x0845779a0108a69eULL, 0xf203b2289efccf27ULL,
+    0xd921f0b8e89a7269ULL, 0xf7d6a27167723c11ULL, 0x74f6c4f83c061955ULL,
+    0xc0d2ee5c686b2bc6ULL, 0x035b53bf7d6f7c40ULL, 0x1f5ca9134024aa29ULL,
+    0x411d92a2486028ddULL, 0xca3aa64104cebf41ULL, 0x34d2ea0c82120725ULL,
+    0x39d5cf995506449bULL, 0xc26ecc1239a8e966ULL, 0xc5b344f7d7241594ULL,
+    0x836d0b3796a6a7e8ULL, 0x91885c13410ca14aULL, 0xc36c9bdbe1ad427aULL,
+    0x577c3e368998a53eULL, 0x8a2e475fb671e4d2ULL, 0xb89b14c571810295ULL,
+    0x05bfb4c1faa1a4dbULL, 0x5544f243cebe5788ULL, 0x93890f3a460532c6ULL,
+    0x574601efb30d837fULL, 0xe565d3c3a164b80bULL, 0x5709712543701844ULL,
+    0x23b5690f76876f65ULL, 0xb1139c2d896f5731ULL, 0xf2da58822fc0d225ULL,
+    0x03d965d761cc5672ULL, 0xa9e5ff4d8c8f7ba4ULL, 0xed5da52fed5bb348ULL,
+    0xa98db9462f11795cULL, 0x201b2f8ce2d58f3dULL, 0x110dae858be9ec04ULL,
+    0x218420a394f0a226ULL, 0x7c0026c7ea638bfdULL, 0xc4bd51db2cf9241dULL,
+    0xe74e3e12fcccc789ULL, 0xcb3d0c7f3381bd50ULL, 0xeeb92d39ad2aee9cULL,
+    0x97354eacdab92f66ULL, 0x317e08dc7250939fULL, 0xaec77c1fcc8477fdULL,
+    0xbbb04fde4fad29f9ULL, 0xee73a5c41c3c91a7ULL, 0x04a326c079b8a88dULL,
+    0xb9b0d5e5f521f047ULL, 0x926566736fe753b0ULL, 0x0e79fa19790d349bULL,
+    0x75e1373875b06e5aULL, 0xd4ef9d904f059cd9ULL, 0x2f6a29d726c971dfULL,
+    0x71daa4be85cba96bULL, 0x24890d3a7272b355ULL, 0xa172630d0287ce26ULL,
+    0x5893f1098c7ac79bULL, 0xabc8d4e5376751f7ULL, 0x5666d11188e843f7ULL,
+    0xf9d15c989cbe84edULL, 0x5e49a2ba87d626d2ULL, 0x8ce78ff75758f257ULL,
+    0x0b3a79bbf0c2eb4aULL, 0xc1bc5d581b91c30cULL, 0x3c2c61c410873fefULL,
+    0x4b18b60acb33beb5ULL, 0x0e99420589844572ULL, 0xe6b51b552839beeeULL,
+    0x1fd6774388b8c06aULL, 0x528bfa8dd3979809ULL, 0x14dd3e3525b3d793ULL,
 };
 
 const std::uint64_t kWarmDigests[kSeeds] = {

@@ -18,6 +18,14 @@ TEST(SimplexEdge, NoConstraintsBoundsOnly) {
   EXPECT_NEAR(r.x[1], 5.0, 1e-9);
 }
 
+TEST(SimplexEdge, EmptyModelIsOptimal) {
+  // No columns and no rows: what a remap model with every op frozen
+  // relaxes to. Pricing must not divide by the zero column count.
+  const LpResult r = solve_lp(Model{});
+  EXPECT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(r.x.empty());
+}
+
 TEST(SimplexEdge, EverythingFixed) {
   Model m;
   m.add_continuous(2, 2, 1.0);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cgrra/stress.h"
+#include "core/probe_session.h"
 #include "core/two_step.h"
 #include "verify/certify.h"
 
@@ -29,7 +30,7 @@ struct Fixture {
     }
   }
 
-  core::RemapModel model(double st_target) const {
+  core::RemapModelSpec spec() const {
     core::RemapModelSpec s;
     s.design = &design;
     s.base = &base;
@@ -37,6 +38,11 @@ struct Fixture {
     s.candidates.assign(design.ops.size(), {});
     for (auto& c : s.candidates)
       for (int pe = 0; pe < design.fabric.num_pes(); ++pe) c.push_back(pe);
+    return s;
+  }
+
+  core::RemapModel model(double st_target) const {
+    core::RemapModelSpec s = spec();
     s.st_target = st_target;
     return core::build_remap_model(s);
   }
@@ -126,10 +132,11 @@ TEST(Mutation, CertifierRejectionDowngradesTwoStepStatus) {
   EXPECT_NE(bad.status, milp::SolveStatus::kOptimal);
   EXPECT_FALSE(bad.certified);
 
+  // The LP-feasibility probe certifies its point with integrality waived.
   core::TwoStepOptions lp;
   lp.verify.enabled = true;
-  lp.lp_only = true;
-  const core::TwoStepResult relaxed = solve_two_step(f.model(kDmuStress), lp);
+  core::ProbeSession session(f.spec(), lp);
+  const core::TwoStepResult relaxed = session.solve_lp(kDmuStress);
   EXPECT_EQ(relaxed.status, milp::SolveStatus::kOptimal);
   EXPECT_TRUE(relaxed.certified);
 }

@@ -354,9 +354,11 @@ int cmd_remap(const Args& args) {
     opts.solver.mip.num_threads = static_cast<int>(v);
   }
   // Escape hatch for the incremental probe sessions: `--warm-probes off`
-  // forces the legacy full-rebuild cold solve per attempt. Results are
-  // identical either way; off trades speed for a simpler solve path when
-  // triaging a suspect run.
+  // rebuilds the model before every probe and drops the chained bases.
+  // Verdicts are identical either way, but floorplans can differ: a warm
+  // dive starts from a chained basis and may round to another co-optimal
+  // vertex. Off trades speed for a simpler solve path when triaging a
+  // suspect run.
   const std::string warm = args.get_or("warm-probes", "on");
   if (warm == "on") {
     opts.warm_probes = true;

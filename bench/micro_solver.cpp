@@ -266,16 +266,11 @@ BENCHMARK(BM_LpRhsRampProbes)
 // The branch & bound child shape: each re-solve differs from the shared
 // parent by exactly one tightened variable bound and starts from the
 // parent's optimal basis — the case the dual simplex loop exists for.
-// range(0) = ops, range(1) = algorithm (0 warm primal, 1 auto/dual). The
-// pair of JSON lines is the dual-vs-primal re-solve comparison tracked by
-// the bench trajectory.
+// range(0) = ops.
 void BM_LpChildResolve(benchmark::State& state) {
   const int ops = static_cast<int>(state.range(0));
-  const bool dual = state.range(1) == 1;
   const Model m = assignment_model(ops, 36, 4, 42, /*integer=*/false);
-  LpOptions opts;
-  opts.algorithm = dual ? LpAlgorithm::kAutoWarm : LpAlgorithm::kPrimal;
-  SimplexEngine engine(m, opts);
+  SimplexEngine engine(m);
   const LpResult root = engine.solve();
   if (root.status != SolveStatus::kOptimal) {
     state.SkipWithError("root LP failed");
@@ -327,13 +322,9 @@ void BM_LpChildResolve(benchmark::State& state) {
     w.begin_object()
         .field("case", "lp_child_resolve")
         .field("arg", static_cast<long>(state.range(0)))
-        .field("algorithm", dual ? "auto" : "primal")
         .field("children", static_cast<long>(branch_vars.size()))
         .field("wall_seconds", wall)
         .field("lp_iterations", iters)
-        // Bit-comparable across the two algorithm variants: the dual loop's
-        // results are certified by the primal pricing pass, so this sum must
-        // match between the primal and auto JSON lines.
         .field("objective_sum", obj_sum)
         .field("nodes", 0L)
         .field("threads", 1L);
@@ -345,8 +336,7 @@ void BM_LpChildResolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LpChildResolve)
-    ->Args({48, 0})->Args({48, 1})
-    ->Args({96, 0})->Args({96, 1})
+    ->Arg(48)->Arg(96)
     ->Unit(benchmark::kMillisecond);
 
 void BM_LuFactorize(benchmark::State& state) {

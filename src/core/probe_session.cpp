@@ -95,7 +95,6 @@ TwoStepResult ProbeSession::run_lp() {
   res.stats.lp_status = lp.status;
   res.stats.lp_iterations = lp.iterations;
   res.stats.lp_seconds = lp.seconds;
-  res.stats.lp_algorithm = solver_.lp.algorithm;
   res.stats.lp_stage.add(lp.stats);
   res.basis = lp.basis;
   span.arg("status", milp::to_string(lp.status))

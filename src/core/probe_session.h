@@ -54,7 +54,7 @@ struct ProbeSessionStats {
   // RHS-only patches that replaced a rebuild.
   int patches = 0;
   // Probes whose LP work engaged the dual simplex loop — the expected case
-  // for every warm-chained probe under LpAlgorithm::kAutoWarm.
+  // for every probe that starts from a chained or crash basis.
   int dual_solves = 0;
 };
 

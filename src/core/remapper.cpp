@@ -247,8 +247,8 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
     };
     ProbeSession session = open_session(base);
 
-    double st_target = std::max(res.st_target_initial, 1e-12);
-    if (opts.lp_presearch) {
+    double st_target = 0.0;
+    {  // scopes the presearch span to the presearch
       obs::Span presearch_span("remap.presearch");
       // Smallest LP-feasible target (with path constraints) for the
       // session's geometry: the start of the Delta loop.

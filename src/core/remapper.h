@@ -52,10 +52,10 @@ struct RemapOptions {
   double delta_frac = 0.05;
   int max_outer_iters = 40;
   // Before the Delta loop, binary-search the smallest st_target whose LP
-  // relaxation (with path constraints) is feasible, and start there. Pure
-  // speed optimization: the Delta loop would reach the same value in
-  // O(1/delta_frac) expensive integer attempts.
-  bool lp_presearch = true;
+  // relaxation (with path constraints) is feasible, in at most this many
+  // bisection probes, and start there. Pure speed optimization: the Delta
+  // loop would reach the same value in O(1/delta_frac) expensive integer
+  // attempts.
   int lp_presearch_probes = 6;
   // After the first successful target, bisect back toward the last failed
   // one up to this many times to tighten the achieved balance.

@@ -278,7 +278,6 @@ TwoStepResult solve_two_step(const RemapModel& rm,
   obs::Metrics::global().counter("two_step.solves").add(1);
   TwoStepResult res;
   res.stats.vars_total = rm.num_binary_vars;
-  res.stats.lp_algorithm = opts.lp.algorithm;
   const auto finish = [&] {
     solve_span.arg("status", milp::to_string(res.status));
     if (res.stats.fallback_unfixed)

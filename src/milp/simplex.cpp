@@ -28,15 +28,6 @@ const char* to_string(SolveStatus s) {
   return "?";
 }
 
-const char* to_string(LpAlgorithm a) {
-  switch (a) {
-    case LpAlgorithm::kPrimal: return "primal";
-    case LpAlgorithm::kDual: return "dual";
-    case LpAlgorithm::kAutoWarm: return "auto";
-  }
-  return "?";
-}
-
 namespace {
 
 constexpr double kPivotZero = 1e-9;   // |w_i| below this cannot pivot
@@ -357,7 +348,6 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
           .arg("bound_flips", res.stats.bound_flips)
           .arg("refactorizations", res.stats.refactorizations)
           .arg("dual_fallbacks", res.stats.dual_fallbacks)
-          .arg("algorithm", to_string(opts_.algorithm))
           .arg("warm_used", res.warm_used)
           .arg("dual_used", res.dual_used)
           .arg("obj", res.obj)
@@ -374,16 +364,14 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
   long iter = 0;
 
   // ===== Dual simplex =====
-  // Runs ahead of the primal loop when requested: pivots while some basic
-  // violates a bound but the reduced costs stay dual feasible. On every
-  // exit except a proven infeasibility certificate, control falls through
-  // to the primal loop below, which certifies the result with exact
-  // pricing (and takes zero pivots after a clean dual run) — so statuses
-  // and objectives are identical across all algorithm settings.
-  const bool want_dual =
-      opts_.algorithm == LpAlgorithm::kDual ||
-      (opts_.algorithm == LpAlgorithm::kAutoWarm && warmed);
-  if (want_dual && m_ > 0) {
+  // Runs ahead of the primal loop whenever the caller's starting basis was
+  // used: pivots while some basic violates a bound but the reduced costs
+  // stay dual feasible. On every exit except a proven infeasibility
+  // certificate, control falls through to the primal loop below, which
+  // certifies the result with exact pricing (and takes zero pivots after a
+  // clean dual run) — so statuses and objectives never depend on whether
+  // the dual loop ran.
+  if (warmed && m_ > 0) {
     refresh_d();
 
     // --- Dual-feasibility repair: a nonbasic column whose reduced cost
@@ -432,15 +420,15 @@ LpResult SimplexEngine::solve(const std::vector<double>& lb,
       res.dual_used = true;
 
       // --- Leaving-row pricing weights. Dual steepest edge
-      // (Forrest–Goldfarb) wants w_i = ||B^-T e_i||^2; a slack start
-      // (B = -I) makes the unit init exact for free, a warm start can often
-      // reuse the engine's cached weights from the previous dual run on the
-      // same basis, and anything else starts approximate and converges via
-      // the periodic exact recompute.
+      // (Forrest–Goldfarb) wants w_i = ||B^-T e_i||^2; a warm start can
+      // often reuse the engine's cached weights from the previous dual run
+      // on the same basis, and anything else starts from unit weights,
+      // treated as approximate, which converge via the periodic exact
+      // recompute.
       std::vector<double>& dw = w.dw;
       dw.assign(static_cast<size_t>(m_), 1.0);
-      bool weights_exact = !warmed;
-      if (warmed && dse_exact_ && dse_basis_cols_ == w.basis) {
+      bool weights_exact = false;
+      if (dse_exact_ && dse_basis_cols_ == w.basis) {
         dw = dse_weights_;
         weights_exact = true;
       }

@@ -46,34 +46,12 @@ enum class Pricing {
   kCandidateList,
 };
 
-// Which simplex variant drives a solve. The dual loop never decides
-// optimality on its own: whenever it reaches primal feasibility (or gives
-// up for numerical reasons) control falls through to the primal loop, which
-// certifies optimality with exact pricing. Statuses and objectives are
-// therefore identical across all three settings; only the pivot sequence
-// (and hence the iteration/time profile) differs.
-enum class LpAlgorithm {
-  // The original two-phase primal simplex, warm or cold.
-  kPrimal,
-  // Dual simplex whenever the starting basis (warm or slack) can be made
-  // dual-feasible by flipping boxed nonbasic columns; primal otherwise.
-  kDual,
-  // Dual simplex iff a usable warm basis was supplied and is dual-feasible
-  // after the bound change — the B&B-child / probe-chain case, where costs
-  // and matrix are unchanged so the parent's optimal basis stays dual
-  // feasible. Falls back to primal (keeping the warm basis) otherwise.
-  kAutoWarm,
-};
-
-const char* to_string(LpAlgorithm a);
-
 struct LpOptions {
   long max_iters = 500000;
   double time_limit_s = 1e18;
   double tol_feas = 1e-7;   // bound/row feasibility tolerance
   double tol_cost = 1e-7;   // reduced-cost (dual) tolerance
   Pricing pricing = Pricing::kCandidateList;
-  LpAlgorithm algorithm = LpAlgorithm::kAutoWarm;
   // When non-null and enabled, every solve() emits one "lp.solve" record
   // here (obs/event_log.h). The analyzer's LP-iteration totals sum these,
   // so the pointer is plumbed to EVERY engine (B&B children, dive LPs,
@@ -150,9 +128,9 @@ struct LpResult {
   // slack basis. Callers chaining bases across re-solves (the ST_target
   // probe sessions) use this to count warm hits vs fallbacks.
   bool warm_used = false;
-  // The dual simplex loop ran for this solve (kDual, or kAutoWarm with a
-  // dual-feasible warm basis). The reported optimum is still certified by
-  // the primal loop's exact pricing pass.
+  // The dual simplex loop ran for this solve (a starting basis was used
+  // and could be made dual feasible). The reported optimum is still
+  // certified by the primal loop's exact pricing pass.
   bool dual_used = false;
   LpStageStats stats;
 };
@@ -162,7 +140,16 @@ class SimplexEngine {
   explicit SimplexEngine(const Model& model, LpOptions opts = {});
 
   // Solves with the given structural bounds (size n). `warm`, when given,
-  // must be a basis vector previously returned by this engine.
+  // is a starting basis of size n+m with m basic columns: one this engine
+  // returned, or a slack or crash basis built by the caller. The starting
+  // basis picks the algorithm. A `warm` that factors runs the dual loop
+  // first, once flipping boxed nonbasic columns has made it dual feasible
+  // (the primal loop takes over from it otherwise). No `warm`, or one that
+  // cannot be used (wrong size or basic count, singular), runs the
+  // two-phase primal loop from the slack basis.
+  // The dual loop never decides optimality on its own: the primal loop
+  // certifies every result with exact pricing, so statuses and objectives
+  // do not depend on which loop ran, only the pivot sequence does.
   LpResult solve(const std::vector<double>& lb, const std::vector<double>& ub,
                  const std::vector<ColStatus>* warm = nullptr);
 

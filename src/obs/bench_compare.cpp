@@ -60,7 +60,7 @@ bool load_doc(const std::string& text, BenchDoc* doc, std::string* error) {
         arg != nullptr && arg->is_number()) {
       name += "/arg=" + std::to_string(static_cast<long>(arg->num));
     }
-    for (const char* variant : {"pricing", "algorithm", "warm"}) {
+    for (const char* variant : {"pricing", "warm"}) {
       const JsonValue* v = entry.find(variant);
       if (v == nullptr) continue;
       if (v->is_string()) {

@@ -27,7 +27,6 @@ TEST(RemapperOptions, ZeroOuterItersReturnsBaseline) {
   const auto bench = bench_for(1);
   RemapOptions opts;
   opts.max_outer_iters = 0;
-  opts.lp_presearch = false;
   opts.rotation_retries = 0;
   const RemapResult r = aging_aware_remap(bench.design, bench.baseline, opts);
   EXPECT_FALSE(r.improved);
@@ -71,16 +70,6 @@ TEST(RemapperOptions, RadiusCapBoundsDisplacement) {
         bench.design.fabric.loc(r.floorplan.pe_of(op.id)));
     EXPECT_LE(moved, 2) << "op " << op.id;
   }
-}
-
-TEST(RemapperOptions, DisabledPresearchStillConverges) {
-  const auto bench = bench_for(5);
-  RemapOptions opts;
-  opts.lp_presearch = false;
-  const RemapResult r = aging_aware_remap(bench.design, bench.baseline, opts);
-  std::string why;
-  EXPECT_TRUE(is_valid(bench.design, r.floorplan, &why)) << why;
-  EXPECT_LE(r.cpd_after_ns, r.cpd_before_ns + 1e-9);
 }
 
 TEST(RemapperOptions, RefineProbesNeverHurt) {

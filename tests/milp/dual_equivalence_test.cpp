@@ -1,8 +1,10 @@
 // Randomized dual-vs-primal equivalence corpus (labelled `slow`): on boxed
 // LPs — where the dual-feasibility repair can always flip its way to a
 // usable start — the dual loop must reach exactly the verdicts and
-// objectives of the primal algorithm, both cold and along warm re-solve
-// chains of tightening bounds (the B&B / probe-session access pattern).
+// objectives of the primal loop, both from the slack basis and along warm
+// re-solve chains of tightening bounds (the B&B / probe-session access
+// pattern). A solve handed a starting basis runs the dual loop; the primal
+// reference is the same solve with no basis.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +13,7 @@
 #include "boxed_lp.h"
 #include "milp/model.h"
 #include "milp/simplex.h"
+#include "slack_basis.h"
 #include "util/rng.h"
 
 namespace cgraf::milp {
@@ -30,12 +33,9 @@ class DualEquivalence : public ::testing::TestWithParam<int> {};
 TEST_P(DualEquivalence, ColdSolvesAgree) {
   Rng rng(52000 + static_cast<std::uint64_t>(GetParam()));
   const Model m = random_boxed_lp(rng, 14, 10);
-  LpOptions primal_opts;
-  primal_opts.algorithm = LpAlgorithm::kPrimal;
-  LpOptions dual_opts;
-  dual_opts.algorithm = LpAlgorithm::kDual;
-  const LpResult rp = solve_lp(m, primal_opts);
-  const LpResult rd = solve_lp(m, dual_opts);
+  const LpResult rp = solve_lp(m);
+  const LpResult rd = solve_lp_from_slack(m);
+  EXPECT_FALSE(rp.dual_used);
   expect_same(rd, rp, "cold boxed");
   if (rp.status == SolveStatus::kOptimal) {
     EXPECT_LE(m.max_violation(rd.x), 1e-6);
@@ -45,22 +45,18 @@ TEST_P(DualEquivalence, ColdSolvesAgree) {
 TEST_P(DualEquivalence, WarmResolveChainsAgree) {
   Rng rng(53000 + static_cast<std::uint64_t>(GetParam()));
   const Model m = random_boxed_lp(rng, 12, 8);
-  LpOptions primal_opts;
-  primal_opts.algorithm = LpAlgorithm::kPrimal;
-  LpOptions auto_opts;
-  auto_opts.algorithm = LpAlgorithm::kAutoWarm;
-  SimplexEngine pe(m, primal_opts);
-  SimplexEngine de(m, auto_opts);
+  SimplexEngine pe(m);
+  SimplexEngine de(m);
   const LpResult proot = pe.solve();
   const LpResult droot = de.solve();
   expect_same(droot, proot, "chain root");
   if (proot.status != SolveStatus::kOptimal) return;
 
   // Chain of tightenings, each re-solved warm from the previous basis by
-  // both engines — exactly how B&B descends and how probe sessions step.
+  // the dual engine — exactly how B&B descends and how probe sessions
+  // step — and from no basis by the primal reference.
   std::vector<double> lb = pe.model_lb();
   std::vector<double> ub = pe.model_ub();
-  const std::vector<ColStatus>* pwarm = &proot.basis;
   const std::vector<ColStatus>* dwarm = &droot.basis;
   LpResult plast, dlast;
   for (int step = 0; step < 6; ++step) {
@@ -68,11 +64,11 @@ TEST_P(DualEquivalence, WarmResolveChainsAgree) {
         rng.next_below(static_cast<std::uint64_t>(pe.num_structural())));
     const double mid = lb[v] + 0.4 * (ub[v] - lb[v]);
     if (rng.next_bool(0.5)) ub[v] = mid; else lb[v] = mid;
-    plast = pe.solve(lb, ub, pwarm);
+    plast = pe.solve(lb, ub);
     dlast = de.solve(lb, ub, dwarm);
+    EXPECT_FALSE(plast.dual_used);
     expect_same(dlast, plast, "chain step");
     if (plast.status != SolveStatus::kOptimal) break;
-    pwarm = &plast.basis;
     dwarm = &dlast.basis;
   }
 }

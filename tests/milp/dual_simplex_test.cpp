@@ -1,16 +1,20 @@
 // The dual simplex loop must be a pivot-order optimization, never a
 // behaviour change: every status and objective agrees with the primal
-// algorithm (the primal loop still certifies optimality after a dual run),
-// and kAutoWarm engages exactly on the warm-re-solve pattern that branch &
-// bound children and ST_target probe chains produce.
+// loop (which still certifies optimality after a dual run). The engine
+// runs the dual loop exactly when it is handed a starting basis: the
+// warm-re-solve pattern that branch & bound children and ST_target probe
+// chains produce, or an explicit slack basis. The primal reference is the
+// same solve with no basis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "milp/branch_and_bound.h"
 #include "milp/model.h"
 #include "milp/simplex.h"
+#include "slack_basis.h"
 #include "util/rng.h"
 
 namespace cgraf::milp {
@@ -46,12 +50,6 @@ Model assignment_lp(std::uint64_t seed, int ops, int pes) {
   return m;
 }
 
-LpResult solve_with(const Model& m, LpAlgorithm alg) {
-  LpOptions opts;
-  opts.algorithm = alg;
-  return solve_lp(m, opts);
-}
-
 void expect_same(const LpResult& a, const LpResult& b, const char* label) {
   ASSERT_EQ(a.status, b.status) << label;
   if (a.status == SolveStatus::kOptimal) {
@@ -61,26 +59,26 @@ void expect_same(const LpResult& a, const LpResult& b, const char* label) {
 
 TEST(DualSimplex, AllBoxedColumnsResolveByBoundFlips) {
   // min -sum(x) s.t. sum(x) <= 3.5, x in [0,1]^8. Every structural column
-  // is boxed, so the cold dual start repairs by flipping all eight to their
-  // upper bounds, then the bound-flipping ratio test walks enough of them
-  // back down to restore the capacity row.
+  // is boxed, so the dual start from the slack basis repairs by flipping
+  // all eight to their upper bounds, then the bound-flipping ratio test
+  // walks enough of them back down to restore the capacity row.
   Model m;
   std::vector<std::pair<int, double>> row;
   for (int j = 0; j < 8; ++j) row.emplace_back(m.add_continuous(0, 1, -1), 1.0);
   m.add_le(std::move(row), 3.5);
-  const LpResult dual = solve_with(m, LpAlgorithm::kDual);
+  const LpResult dual = solve_lp_from_slack(m);
   ASSERT_EQ(dual.status, SolveStatus::kOptimal);
   EXPECT_TRUE(dual.dual_used);
   EXPECT_GT(dual.stats.bound_flips, 0);
   EXPECT_NEAR(dual.obj, -3.5, 1e-8);
-  expect_same(dual, solve_with(m, LpAlgorithm::kPrimal), "all-boxed");
+  expect_same(dual, solve_lp(m), "all-boxed");
 }
 
 TEST(DualSimplex, ColdDualAgreesWithPrimalOnStructuredModels) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const Model m = assignment_lp(seed, 24, 10);
-    const LpResult primal = solve_with(m, LpAlgorithm::kPrimal);
-    const LpResult dual = solve_with(m, LpAlgorithm::kDual);
+    const LpResult primal = solve_lp(m);
+    const LpResult dual = solve_lp_from_slack(m);
     expect_same(dual, primal, "assignment");
     EXPECT_FALSE(primal.dual_used);
   }
@@ -88,15 +86,14 @@ TEST(DualSimplex, ColdDualAgreesWithPrimalOnStructuredModels) {
 
 TEST(DualSimplex, AutoWarmEngagesOnlyWithWarmBasis) {
   const Model m = assignment_lp(7, 24, 10);
-  LpOptions opts;  // default algorithm: kAutoWarm
-  SimplexEngine engine(m, opts);
+  SimplexEngine engine(m);
   const LpResult root = engine.solve();
   ASSERT_EQ(root.status, SolveStatus::kOptimal);
   EXPECT_FALSE(root.dual_used);  // cold solve: no warm basis, primal runs
 
   // Tighten the bounds of basic-at-value variables, as a branch-and-bound
   // child does, and re-solve from the root basis: the warm basis stays dual
-  // feasible (costs unchanged) but turns primal infeasible, so kAutoWarm
+  // feasible (costs unchanged) but turns primal infeasible, so the engine
   // runs the dual loop and actually pivots.
   std::vector<double> lb = engine.model_lb();
   std::vector<double> ub = engine.model_ub();
@@ -120,14 +117,14 @@ TEST(DualSimplex, AutoWarmEngagesOnlyWithWarmBasis) {
 }
 
 TEST(DualSimplex, UnrepairableBasisFallsBackToPrimal) {
-  // min -x with x in [0, inf): the slack start prices x at reduced cost -1
+  // min -x with x in [0, inf): the slack basis prices x at reduced cost -1
   // with no finite upper bound to flip to, so the basis cannot be made dual
   // feasible — the engine must count one fallback and let the primal loop
   // solve from the same basis.
   Model m;
   const int x = m.add_continuous(0, kInf, -1);
   m.add_le({{x, 1.0}}, 5.0);
-  const LpResult r = solve_with(m, LpAlgorithm::kDual);
+  const LpResult r = solve_lp_from_slack(m);
   ASSERT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_NEAR(r.obj, -5.0, 1e-8);
   EXPECT_FALSE(r.dual_used);
@@ -143,18 +140,15 @@ TEST(DualSimplex, InfeasibleModelDetected) {
   std::vector<std::pair<int, double>> row;
   for (int j = 0; j < 3; ++j) row.emplace_back(m.add_continuous(0, 1, 0), 1.0);
   m.add_ge(std::move(row), 10.0);
-  const LpResult dual = solve_with(m, LpAlgorithm::kDual);
+  const LpResult dual = solve_lp_from_slack(m);
   EXPECT_EQ(dual.status, SolveStatus::kInfeasible);
   EXPECT_TRUE(dual.dual_used);
-  EXPECT_EQ(solve_with(m, LpAlgorithm::kPrimal).status,
-            SolveStatus::kInfeasible);
+  EXPECT_EQ(solve_lp(m).status, SolveStatus::kInfeasible);
 }
 
 TEST(DualSimplex, CountersFlowIntoStageStats) {
   const Model m = assignment_lp(11, 28, 10);
-  LpOptions opts;
-  opts.algorithm = LpAlgorithm::kAutoWarm;
-  SimplexEngine engine(m, opts);
+  SimplexEngine engine(m);
   const LpResult root = engine.solve();
   ASSERT_EQ(root.status, SolveStatus::kOptimal);
   EXPECT_GT(root.stats.refactorizations, 0);  // initial factorization counts
@@ -179,9 +173,10 @@ TEST(DualSimplex, CountersFlowIntoStageStats) {
   EXPECT_EQ(sum.dual_iterations, dual_pivots);  // operator+= accumulates
 }
 
-// B&B end-to-end determinism: the integer optimum must not depend on the LP
-// algorithm or the worker-thread count.
-TEST(DualSimplexBnb, ObjectiveInvariantAcrossAlgorithmsAndThreads) {
+// B&B end-to-end determinism: the integer optimum must not depend on the
+// worker-thread count, and must equal the best of all 2^14 binary points,
+// found by brute force with no simplex code involved.
+TEST(DualSimplexBnb, ObjectiveMatchesEnumerationAcrossThreads) {
   Rng rng(97);
   Model m;
   std::vector<int> vars;
@@ -196,31 +191,30 @@ TEST(DualSimplexBnb, ObjectiveInvariantAcrossAlgorithmsAndThreads) {
     m.add_le(std::move(row), 4.0 + rng.next_double() * 3.0);
   }
 
-  MipOptions ref_opts;
-  ref_opts.num_threads = 1;
-  ref_opts.lp.algorithm = LpAlgorithm::kPrimal;
-  const MipResult ref = solve_milp(m, ref_opts);
-  ASSERT_EQ(ref.status, SolveStatus::kOptimal);
+  double best = -kInf;
+  std::vector<double> x(vars.size());
+  for (unsigned mask = 0; mask < (1u << vars.size()); ++mask) {
+    for (size_t j = 0; j < vars.size(); ++j)
+      x[j] = ((mask >> j) & 1u) != 0 ? 1.0 : 0.0;
+    if (m.max_violation(x) <= 1e-9)
+      best = std::max(best, m.objective_value(x));
+  }
+  ASSERT_GT(best, -kInf);
 
-  for (const LpAlgorithm alg :
-       {LpAlgorithm::kPrimal, LpAlgorithm::kDual, LpAlgorithm::kAutoWarm}) {
-    for (const int threads : {1, 4}) {
-      MipOptions opts;
-      opts.num_threads = threads;
-      opts.lp.algorithm = alg;
-      const MipResult r = solve_milp(m, opts);
-      ASSERT_EQ(r.status, SolveStatus::kOptimal)
-          << to_string(alg) << " threads=" << threads;
-      EXPECT_NEAR(r.obj, ref.obj, 1e-6 * (1.0 + std::abs(ref.obj)))
-          << to_string(alg) << " threads=" << threads;
-    }
+  for (const int threads : {1, 4}) {
+    MipOptions opts;
+    opts.num_threads = threads;
+    const MipResult r = solve_milp(m, opts);
+    ASSERT_EQ(r.status, SolveStatus::kOptimal) << "threads=" << threads;
+    EXPECT_NEAR(r.obj, best, 1e-6 * (1.0 + std::abs(best)))
+        << "threads=" << threads;
   }
 }
 
 TEST(DualSimplexBnb, ChildSolvesUseDualUnderAutoWarm) {
-  // A fractional-LP knapsack forces real branching; with the default
-  // kAutoWarm every warm-started child re-solve may take the dual loop, and
-  // the aggregated node stats must show it actually did somewhere.
+  // A fractional-LP knapsack forces real branching; every warm-started
+  // child re-solve may take the dual loop, and the aggregated node stats
+  // must show it actually did somewhere.
   Rng rng(31);
   Model m;
   std::vector<std::pair<int, double>> row;

@@ -4,7 +4,9 @@
 // constraints drawn from the rows (at either side) and the variable bounds.
 // The oracle enumerates every such intersection with dense Gaussian
 // elimination — O(C(k, n)) and only usable for tiny instances, but sharing
-// no code whatsoever with the revised simplex under test.
+// no code whatsoever with the revised simplex under test. Each instance is
+// solved twice: with no basis (the primal loop) and from an explicit slack
+// basis (the dual loop), and both must match the oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +14,7 @@
 
 #include "milp/model.h"
 #include "milp/simplex.h"
+#include "slack_basis.h"
 #include "util/rng.h"
 
 namespace cgraf::milp {
@@ -137,18 +140,23 @@ TEST_P(VertexOracle, SimplexMatchesVertexEnumeration) {
   }
   if (rng.next_bool(0.5)) m.set_sense(Sense::kMaximize);
 
-  const LpResult got = solve_lp(m);
   const std::optional<double> want = oracle_optimum(m);
+  const LpResult primal = solve_lp(m);
+  const LpResult dual = solve_lp_from_slack(m);
+  EXPECT_TRUE(dual.warm_used);
 
-  if (!want.has_value()) {
-    EXPECT_EQ(got.status, SolveStatus::kInfeasible)
-        << "oracle found no feasible vertex but simplex said "
-        << to_string(got.status);
-    return;
+  for (const LpResult* got : {&primal, &dual}) {
+    const char* label = got == &primal ? "no basis" : "slack basis";
+    if (!want.has_value()) {
+      EXPECT_EQ(got->status, SolveStatus::kInfeasible)
+          << label << ": oracle found no feasible vertex but simplex said "
+          << to_string(got->status);
+      continue;
+    }
+    ASSERT_EQ(got->status, SolveStatus::kOptimal) << label;
+    EXPECT_NEAR(got->obj, *want, 1e-6 * (1.0 + std::abs(*want))) << label;
+    EXPECT_LE(m.max_violation(got->x), 1e-7) << label;
   }
-  ASSERT_EQ(got.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(got.obj, *want, 1e-6 * (1.0 + std::abs(*want)));
-  EXPECT_LE(m.max_violation(got.x), 1e-7);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VertexOracle, ::testing::Range(0, 60));

@@ -125,7 +125,7 @@ Row run_one(const workloads::BenchmarkSpec& spec, double ilp_budget_s,
              std::to_string(bench.total_ops) + " ops)";
   row.vars = rm.num_binary_vars;
   row.st_probes = st.probes;
-  row.st_warm_hits = st.warm_hits;
+  row.st_warm_hits = st.session.warm_hits;
   row.st_warm_seconds = warm_seconds;
   row.st_cold_seconds = cold_seconds;
   row.st_target_warm = st.st_target;

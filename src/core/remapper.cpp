@@ -120,35 +120,14 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
       timing::monitored_paths(graph, baseline, query);
   res.num_monitored_paths = static_cast<int>(monitored.size());
 
-  // Baseline returns still deserve a certificate: the unchanged floorplan
-  // is checked against its own stress level and the monitored-path budgets.
-  auto certify_baseline = [&] {
-    if (!opts.verify.enabled) return;
-    verify::FloorplanSpec fspec;
-    fspec.design = &design;
-    fspec.reference = &baseline;
-    fspec.frozen = frozen;
-    fspec.st_target = res.st_max_before;
-    fspec.monitored = &monitored;
-    fspec.cpd_ns = res.cpd_before_ns;
-    res.certified =
-        verify::certify_floorplan(fspec, baseline, opts.verify.tol).ok;
-  };
-
   // Incremental-probe accounting, folded in exactly once from every session
-  // the flow opens: one per presearch geometry, the dropped loser of the
-  // rotation-round-0 comparison included (Step 1 reports its own).
+  // the flow opens: Step 1's (when it probes) and one per presearch
+  // geometry, the dropped loser of the rotation-round-0 comparison included.
   auto fold_session = [&](const ProbeSessionStats& ps) {
     res.probe_warm_hits += ps.warm_hits;
     res.probe_crash_starts += ps.crash_starts;
     res.probe_basis_fallbacks += ps.basis_fallbacks;
     res.probe_model_rebuilds += ps.model_rebuilds;
-  };
-  auto emit_probe_counters = [&] {
-    obs::Metrics::global().counter("remap.warm_hits")
-        .add(res.probe_warm_hits);
-    obs::Metrics::global().counter("remap.basis_fallbacks")
-        .add(res.probe_basis_fallbacks);
   };
 
   // --- Step 1: delay-unaware stress-target lower bound.
@@ -158,14 +137,14 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
   // remap-level event sink into it unless one was set there explicitly.
   if (st_opts.solver.events == nullptr) st_opts.solver.events = events;
   const StTargetResult st = find_st_target(design, baseline, st_opts);
-  res.probe_warm_hits += st.warm_hits;
-  res.probe_basis_fallbacks += st.basis_fallbacks;
-  res.probe_model_rebuilds += st.model_rebuilds;
+  fold_session(st.session);
   res.st_target_initial = st.st_target;
   const double delta = std::max(
-      1e-9, opts.delta_frac * std::max(1e-12, st.st_up - st.st_low));
+      1e-9, kDeltaFrac * std::max(1e-12, st.st_up - st.st_low));
 
   // --- Step 2.3: Delta-relaxation loop, re-drawing rotations if needed.
+  bool remapped = false;  // a found floorplan is kept (see below)
+  res.note = "no improving floorplan found; baseline kept";
   const int rotation_rounds =
       opts.mode == RemapMode::kRotate ? 1 + std::max(0, opts.rotation_retries)
                                       : 1;
@@ -251,20 +230,17 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
     {  // scopes the presearch span to the presearch
       obs::Span presearch_span("remap.presearch");
       // Smallest LP-feasible target (with path constraints) for the
-      // session's geometry: the start of the Delta loop.
+      // session's geometry: the start of the Delta loop. The baseline
+      // proves ST_max, so it is a trusted top.
+      TargetSearchPlan presearch_plan;
+      presearch_plan.bisect_probes = kPresearchProbes;
       auto presearch = [&](ProbeSession& ps) {
-        auto lp_feasible = [&](double target) {
-          return ps.solve_lp(target).status == milp::SolveStatus::kOptimal;
-        };
-        double lo = std::max(res.st_target_initial, 1e-12);
-        if (lp_feasible(lo)) return lo;
-        double hi = res.st_max_before;
-        for (int probe = 0; probe < opts.lp_presearch_probes; ++probe) {
-          const double mid = 0.5 * (lo + hi);
-          if (lp_feasible(mid)) hi = mid;
-          else lo = mid;
-        }
-        return hi;
+        return *search_st_target(std::max(res.st_target_initial, 1e-12),
+                                 res.st_max_before, presearch_plan,
+                                 [&](double target) {
+                                   return ps.solve_lp(target).status ==
+                                          milp::SolveStatus::kOptimal;
+                                 });
       };
       st_target = presearch(session);
       if (opts.mode == RemapMode::kRotate && round == 0) {
@@ -294,9 +270,12 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
     const Floorplan& geometry = *session.spec().base;
 
     // Attempts one st_target: solve, validate, and re-check the CPD with a
-    // full STA (Algorithm 1 lines 10-17). Returns true and fills
-    // `out`/`out_cpd` on success.
-    auto attempt = [&](double target, Floorplan& out, double& out_cpd) {
+    // full STA (Algorithm 1 lines 10-17). Returns true and fills `found` /
+    // `found_cpd` on success, so they hold the latest acceptance's: in the
+    // search below, the lowest accepted target's.
+    Floorplan found;
+    double found_cpd = 0.0;
+    auto attempt = [&](double target) {
       ++res.outer_iterations;
       res.st_target_final = target;
       // One span per Delta-relaxation attempt: the probed target plus the
@@ -394,8 +373,8 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
         const timing::StaResult sta1 = run_sta(graph, solved_fp);
         cpd_ok = sta1.cpd_ns <= res.cpd_before_ns + 1e-9;
         if (cpd_ok) {
-          out = std::move(solved_fp);
-          out_cpd = sta1.cpd_ns;
+          found = std::move(solved_fp);
+          found_cpd = sta1.cpd_ns;
         }
       }
       attempt_span.arg("status", status_str)
@@ -420,115 +399,89 @@ RemapResult aging_aware_remap(const Design& design, const Floorplan& baseline,
       return cpd_ok;
     };
 
-    // Scan upward: Delta steps, escalating geometrically toward the cap
-    // after failures so a hard instance costs O(log) failed solves, not
-    // O(1/Delta). Without blocked PEs the baseline proves feasibility at
-    // ST_up; in fault mode the displaced ops may need more headroom, so
-    // the cap extends to the total stress (one PE carrying everything).
+    // Scan up from the presearch target in Delta steps, then bisect back
+    // toward the last failure. Without blocked PEs the baseline proves
+    // feasibility at ST_up; in fault mode the displaced ops may need more
+    // headroom, so the cap is the total stress (one PE carrying everything).
     const double scan_cap =
         fault_mode ? std::max(res.st_max_before,
                               res.st_avg * design.fabric.num_pes())
                    : res.st_max_before;
-    Floorplan found;
-    double found_cpd = 0.0;
-    double found_at = -1.0;
-    double last_fail = -1.0;
-    for (int iter = 0; iter < opts.max_outer_iters; ++iter) {
-      if (attempt(st_target, found, found_cpd)) {
-        found_at = st_target;
-        break;
-      }
-      last_fail = st_target;
-      if (st_target >= scan_cap * (1.0 + 1e-9)) break;
-      const double step = std::max(delta, (scan_cap - st_target) / 3.0);
-      st_target = std::min(st_target + step, scan_cap * (1.0 + 1e-9));
-      obs::Metrics::global().counter("remap.relaxations").add(1);
-    }
-
-    if (found_at >= 0.0) {
-      // Bisect back toward the last failure to tighten the balance.
-      for (int probe = 0; probe < opts.refine_probes; ++probe) {
-        if (last_fail < 0.0 || found_at - last_fail <= delta) break;
-        const double mid = 0.5 * (last_fail + found_at);
-        Floorplan better;
-        double better_cpd = 0.0;
-        if (attempt(mid, better, better_cpd)) {
-          found = std::move(better);
-          found_cpd = better_cpd;
-          found_at = mid;
-        } else {
-          last_fail = mid;
-        }
-      }
-      fold_session(session.stats());
-
-      const StressMap stress1 = compute_stress(design, found);
-      const bool stress_improved =
-          stress1.max_accumulated() < res.st_max_before - 1e-12;
-      if (stress_improved || fault_mode) {
-        // Every kept candidate passed the per-attempt certificate above.
-        res.certified = opts.verify.enabled;
-        res.floorplan = std::move(found);
-        res.cpd_after_ns = found_cpd;
-        res.st_max_after = stress1.max_accumulated();
-        res.st_target_final = found_at;
-        res.improved = stress_improved;
-        res.note = "remapped at st_target=" + fmt_double(found_at, 4) +
-                   " after " + std::to_string(res.outer_iterations) +
-                   " iteration(s)";
-        if (fault_mode) {
-          res.note += " avoiding " +
-                      std::to_string(opts.blocked_pes.size()) +
-                      " blocked PE(s)";
-        }
-      } else {
-        res.note = "solution found but no stress improvement";
-        certify_baseline();
-      }
-      res.mttf_after =
-          aging::compute_mttf(design, res.floorplan, opts.nbti, opts.thermal);
-      if (!res.improved) {
-        res.cpd_after_ns = res.cpd_before_ns;
-        res.st_max_after = res.st_max_before;
-      }
-      res.mttf_gain =
-          res.mttf_after.mttf_seconds / res.mttf_before.mttf_seconds;
-      res.seconds = now_seconds() - t_start;
-      obs::Metrics::global().gauge("remap.st_target_final")
-          .set(res.st_target_final);
-      obs::Metrics::global().gauge("remap.mttf_gain").set(res.mttf_gain);
-      emit_probe_counters();
-      remap_span.arg("improved", res.improved)
-          .arg("st_target_final", res.st_target_final)
-          .arg("attempts", res.outer_iterations)
-          .arg("warm_hits", static_cast<long>(res.probe_warm_hits));
-      obs::Event(events, "remap.end")
-          .arg("improved", res.improved)
-          .arg("st_target_final", res.st_target_final)
-          .arg("attempts", res.outer_iterations)
-          .arg("warm_hits", res.probe_warm_hits)
-          .arg("basis_fallbacks", res.probe_basis_fallbacks)
-          .arg("seconds", res.seconds);
-      return res;
-    }
+    TargetSearchPlan plan;
+    plan.scan = true;
+    plan.scan_step = delta;
+    plan.bisect_probes = kRefineProbes;
+    plan.min_width = delta;
+    const std::optional<double> found_at =
+        search_st_target(st_target, scan_cap, plan, attempt);
     fold_session(session.stats());
     // No feasible floorplan with this rotation: re-draw (Rotate) or give up.
+    if (!found_at) continue;
+
+    const StressMap stress1 = compute_stress(design, found);
+    const bool stress_improved =
+        stress1.max_accumulated() < res.st_max_before - 1e-12;
+    if (stress_improved || fault_mode) {
+      // Every kept candidate passed the per-attempt certificate above.
+      remapped = true;
+      res.certified = opts.verify.enabled;
+      res.floorplan = std::move(found);
+      res.st_target_final = *found_at;
+      res.improved = stress_improved;
+      res.cpd_after_ns = found_cpd;
+      res.st_max_after = stress1.max_accumulated();
+      res.note = "remapped at st_target=" + fmt_double(*found_at, 4) +
+                 " after " + std::to_string(res.outer_iterations) +
+                 " iteration(s)";
+      if (fault_mode) {
+        res.note += " avoiding " + std::to_string(opts.blocked_pes.size()) +
+                    " blocked PE(s)";
+      }
+    } else {
+      res.note = "solution found but no stress improvement";
+    }
+    break;
   }
 
-  // No improving floorplan: return the baseline unchanged.
-  certify_baseline();
-  res.cpd_after_ns = res.cpd_before_ns;
-  res.st_max_after = res.st_max_before;
-  res.mttf_after = res.mttf_before;
-  res.mttf_gain = 1.0;
-  res.note = "no improving floorplan found; baseline kept";
+  if (remapped) {
+    res.mttf_after =
+        aging::compute_mttf(design, res.floorplan, opts.nbti, opts.thermal);
+    res.mttf_gain = res.mttf_after.mttf_seconds / res.mttf_before.mttf_seconds;
+  } else {
+    // The unchanged baseline still deserves a certificate: against its own
+    // stress level and the monitored-path budgets.
+    if (opts.verify.enabled) {
+      verify::FloorplanSpec fspec;
+      fspec.design = &design;
+      fspec.reference = &baseline;
+      fspec.frozen = frozen;
+      fspec.st_target = res.st_max_before;
+      fspec.monitored = &monitored;
+      fspec.cpd_ns = res.cpd_before_ns;
+      res.certified =
+          verify::certify_floorplan(fspec, baseline, opts.verify.tol).ok;
+    }
+    res.mttf_after = res.mttf_before;  // mttf_gain keeps its 1.0
+  }
+  if (!res.improved) {
+    res.cpd_after_ns = res.cpd_before_ns;
+    res.st_max_after = res.st_max_before;
+  }
   res.seconds = now_seconds() - t_start;
-  emit_probe_counters();
-  remap_span.arg("improved", false)
+  obs::Metrics::global()
+      .gauge("remap.st_target_final")
+      .set(res.st_target_final);
+  obs::Metrics::global().gauge("remap.mttf_gain").set(res.mttf_gain);
+  obs::Metrics::global().counter("remap.warm_hits").add(res.probe_warm_hits);
+  obs::Metrics::global()
+      .counter("remap.basis_fallbacks")
+      .add(res.probe_basis_fallbacks);
+  remap_span.arg("improved", res.improved)
+      .arg("st_target_final", res.st_target_final)
       .arg("attempts", res.outer_iterations)
       .arg("warm_hits", static_cast<long>(res.probe_warm_hits));
   obs::Event(events, "remap.end")
-      .arg("improved", false)
+      .arg("improved", res.improved)
       .arg("st_target_final", res.st_target_final)
       .arg("attempts", res.outer_iterations)
       .arg("warm_hits", res.probe_warm_hits)

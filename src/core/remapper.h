@@ -3,6 +3,8 @@
 // (critical-path freezing, optionally with rotation), Step 2.2 (monitored
 // path constraint generation), Step 2.3 (the Delta-relaxation solve loop
 // with STA re-check) and Step 3 (MTTF computation).
+// Step 1's ILP bisection, the LP presearch and the Delta-scan with its
+// refinement are search_st_target calls (core/st_target.h; DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
@@ -37,6 +39,12 @@ inline TwoStepOptions default_remap_solver_options() {
   return o;
 }
 
+// Step 2.3's search budgets: the LP presearch's bisection probes, the
+// Delta step as a fraction of (ST_up - ST_low), and the refinement's probes.
+inline constexpr int kPresearchProbes = 6;
+inline constexpr double kDeltaFrac = 0.05;
+inline constexpr int kRefineProbes = 3;
+
 struct RemapOptions {
   RemapMode mode = RemapMode::kRotate;
 
@@ -46,20 +54,6 @@ struct RemapOptions {
   // Per-context cap on extracted critical paths (the frozen set is their
   // union).
   int max_critical_paths_per_context = 8;
-
-  // Step 2.3: st_target relaxation step Delta, as a fraction of
-  // (ST_up - ST_low), and the outer-iteration budget.
-  double delta_frac = 0.05;
-  int max_outer_iters = 40;
-  // Before the Delta loop, binary-search the smallest st_target whose LP
-  // relaxation (with path constraints) is feasible, in at most this many
-  // bisection probes, and start there. Pure speed optimization: the Delta
-  // loop would reach the same value in O(1/delta_frac) expensive integer
-  // attempts.
-  int lp_presearch_probes = 6;
-  // After the first successful target, bisect back toward the last failed
-  // one up to this many times to tighten the achieved balance.
-  int refine_probes = 3;
 
   // Step 2.1 rotation controls.
   int rotation_restarts = 12;

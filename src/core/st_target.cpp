@@ -14,6 +14,11 @@
 namespace cgraf::core {
 namespace {
 
+// The ILP-confirmed bisection's budget and width stop (a fraction of
+// ST_up - ST_low).
+constexpr int kIlpBisectProbes = 16;
+constexpr double kIlpWidthFrac = 0.02;
+
 // Step 1's model shape at `st_target`: delay-unaware, so every op is free
 // and every PE is a candidate.
 RemapModelSpec step1_spec(const Design& design, const Floorplan& baseline,
@@ -58,11 +63,12 @@ bool uniform_point_certifies(const Design& design, const Floorplan& baseline,
 // st.search_end record.
 void finish_search(const StTargetResult& res, bool closed_form,
                    obs::Span& search_span, obs::EventLog* events) {
-  obs::Metrics::global().counter("st_target.warm_hits").add(res.warm_hits);
+  const ProbeSessionStats& ps = res.session;
+  obs::Metrics::global().counter("st_target.warm_hits").add(ps.warm_hits);
   obs::Metrics::global()
       .counter("st_target.basis_fallbacks")
-      .add(res.basis_fallbacks);
-  obs::Metrics::global().counter("st_target.dual_solves").add(res.dual_solves);
+      .add(ps.basis_fallbacks);
+  obs::Metrics::global().counter("st_target.dual_solves").add(ps.dual_solves);
   obs::Metrics::global()
       .counter("st_target.dual_iterations")
       .add(res.lp_stage.dual_iterations);
@@ -73,20 +79,48 @@ void finish_search(const StTargetResult& res, bool closed_form,
       .arg("st_low", res.st_low)
       .arg("st_up", res.st_up)
       .arg("probes", static_cast<long>(res.probes))
-      .arg("warm_hits", static_cast<long>(res.warm_hits))
-      .arg("basis_fallbacks", static_cast<long>(res.basis_fallbacks))
-      .arg("dual_solves", static_cast<long>(res.dual_solves))
+      .arg("warm_hits", static_cast<long>(ps.warm_hits))
+      .arg("basis_fallbacks", static_cast<long>(ps.basis_fallbacks))
+      .arg("dual_solves", static_cast<long>(ps.dual_solves))
       .arg("closed_form", closed_form);
   obs::Event(events, "st.search_end")
       .arg("st_target", res.st_target)
       .arg("probes", static_cast<long>(res.probes))
-      .arg("warm_hits", static_cast<long>(res.warm_hits))
-      .arg("basis_fallbacks", static_cast<long>(res.basis_fallbacks))
+      .arg("warm_hits", static_cast<long>(ps.warm_hits))
+      .arg("basis_fallbacks", static_cast<long>(ps.basis_fallbacks))
       .arg("lp_iterations", res.lp_iterations)
       .arg("closed_form", closed_form);
 }
 
 }  // namespace
+
+std::optional<double> search_st_target(
+    double start, double cap, const TargetSearchPlan& plan,
+    const std::function<bool(double)>& accepts) {
+  if (accepts(start)) return start;
+  double lo = start;  // the last rejection
+  double hi = cap;    // the lowest acceptance
+  if (plan.scan) {
+    // Geometric steps: a hard instance costs O(log) failed probes.
+    const double clamp = cap * (1.0 + 1e-9);
+    for (int probes = 1;; ++probes) {
+      if (lo >= clamp || probes >= kMaxScanProbes) return std::nullopt;
+      const double step = std::max(plan.scan_step, (cap - lo) / 3.0);
+      const double target = std::min(lo + step, clamp);
+      if (accepts(target)) {
+        hi = target;
+        break;
+      }
+      lo = target;
+    }
+  }
+  for (int i = 0; i < plan.bisect_probes && hi - lo > plan.min_width; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (accepts(mid)) hi = mid;
+    else lo = mid;
+  }
+  return hi;
+}
 
 StTargetResult find_st_target(const Design& design, const Floorplan& baseline,
                               const StTargetOptions& opts) {
@@ -138,7 +172,7 @@ StTargetResult find_st_target(const Design& design, const Floorplan& baseline,
                        opts.warm_probes);
 
   auto feasible = [&](double target) {
-    // One span per binary-search probe, annotated with the probed target
+    // One span per search probe, annotated with the probed target
     // and whether the ILP feasibility oracle accepted it.
     obs::Span probe_span("st_target.probe");
     probe_span.arg("st_target", target);
@@ -173,34 +207,15 @@ StTargetResult find_st_target(const Design& design, const Floorplan& baseline,
     return ok;
   };
 
-  double lo = res.st_low;
-  double hi = res.st_up;  // the baseline itself proves feasibility here
-  double best = hi;
-  // The average is usually infeasible for the ILP (perfect balance is
-  // rarely integral); probe it once so a feasible ST_low short-circuits the
-  // search.
-  if (feasible(lo)) {
-    best = lo;
-  } else {
-    const double tol =
-        std::max(1e-9, opts.tol_frac * (res.st_up - res.st_low));
-    for (int it = 0; it < opts.max_iters && hi - lo > tol; ++it) {
-      const double mid = 0.5 * (lo + hi);
-      if (feasible(mid)) {
-        best = mid;
-        hi = mid;
-      } else {
-        lo = mid;
-      }
-    }
-  }
+  // The baseline itself proves feasibility at ST_up. The average is
+  // usually infeasible for the ILP (perfect balance is rarely integral), but
+  // probing it first lets a feasible ST_low short-circuit the search.
+  TargetSearchPlan plan;
+  plan.bisect_probes = kIlpBisectProbes;
+  plan.min_width = std::max(1e-9, kIlpWidthFrac * (res.st_up - res.st_low));
   res.ok = true;
-  res.st_target = best;
-  const ProbeSessionStats& ps = session.stats();
-  res.warm_hits = ps.warm_hits;
-  res.basis_fallbacks = ps.basis_fallbacks;
-  res.model_rebuilds = ps.model_rebuilds;
-  res.dual_solves = ps.dual_solves;
+  res.st_target = *search_st_target(res.st_low, res.st_up, plan, feasible);
+  res.session = session.stats();
   finish_search(res, /*closed_form=*/false, search_span, events);
   return res;
 }

@@ -1,35 +1,64 @@
-// Step 1 of Algorithm 1: MILP-based stress-time constraint determination.
+// Step 1 of Algorithm 1: MILP-based stress-time constraint determination,
+// and search_st_target, the one search over ST_target that Step 1's
+// ILP-confirmed bisection, the remapper's LP presearch and its Delta-scan
+// with refinement all call.
 //
-// Finds the smallest accumulated-stress target ST_target in [ST_low, ST_up]
-// for which formulation (3) *without* critical-path and path-delay
-// constraints is feasible. ST_up is the highest accumulated stress of the
-// aging-unaware floorplan; ST_low its fabric-wide average. Because the delay
-// constraints are ignored, the result is a lower bound on any
-// delay-feasible target (the paper's "initial value").
+// find_st_target finds the smallest accumulated-stress target ST_target in
+// [ST_low, ST_up] for which formulation (3) *without* critical-path and
+// path-delay constraints is feasible. ST_up is the highest accumulated
+// stress of the aging-unaware floorplan; ST_low its fabric-wide average.
+// Because the delay constraints are ignored, the result is a lower bound on
+// any delay-feasible target (the paper's "initial value").
 //
 // The default oracle is the LP relaxation, and it is answered in closed
 // form: the uniform point x[o][p] = 1/P is LP-feasible at ST_low, so the
 // result is ST_low with no simplex (and no model build unless
 // solver.verify.enabled asks to certify that point). Only the
 // ILP-confirmed Step 1 (confirm_with_ilp, the paper's LP-round-ILP at each
-// probe) binary-searches the bracket.
+// probe) searches the bracket.
 #pragma once
+
+#include <functional>
+#include <limits>
+#include <optional>
 
 #include "cgrra/design.h"
 #include "cgrra/floorplan.h"
+#include "core/probe_session.h"
 #include "core/two_step.h"
 
 namespace cgraf::core {
 
+// A scan's probe budget, its start included.
+inline constexpr int kMaxScanProbes = 40;
+
+// How search_st_target finds a feasible top above a rejected start, and how
+// far it then bisects. DESIGN.md §7 lists the three plans the flow runs.
+struct TargetSearchPlan {
+  // false: `cap` is trusted feasible, so it is never probed. true: scan up
+  // by max(scan_step, (cap - t) / 3), clamped to cap * (1 + 1e-9), until a
+  // probe is accepted; give up once a clamped or the kMaxScanProbes-th
+  // probe is rejected.
+  bool scan = false;
+  double scan_step = 0.0;
+  int bisect_probes = 0;  // budget, spent while hi - lo > min_width
+  double min_width = -std::numeric_limits<double>::infinity();
+};
+
+// Probes `start`; if it is rejected, finds a top as `plan` says and bisects
+// between the last rejection and the lowest acceptance at 0.5 * (lo + hi).
+// Returns the lowest accepted target (or the trusted cap), or nullopt when a
+// scan gives up. `accepts` must be monotone, so an oracle that keeps the
+// result of its latest acceptance keeps the lowest.
+std::optional<double> search_st_target(
+    double start, double cap, const TargetSearchPlan& plan,
+    const std::function<bool(double)>& accepts);
+
 struct StTargetOptions {
-  // ILP-confirmed search only: stop when the bracket is narrower than
-  // tol_frac * (ST_up - ST_low), or after max_iters bisection probes.
-  double tol_frac = 0.02;
-  int max_iters = 16;
   // Feasibility oracle. Default: the LP relaxation, answered in closed form
   // (ST_low; the searched value is explicitly a lower bound). Set
   // confirm_with_ilp to run the paper's full LP-round-ILP at each probe of a
-  // binary search instead.
+  // trusted-top search_st_target over [ST_low, ST_up] instead.
   bool confirm_with_ilp = false;
   // ILP-confirmed search only. Incremental probing (core/probe_session.h):
   // build the remap model once, patch only the stress rows' RHS between
@@ -42,7 +71,7 @@ struct StTargetOptions {
   TwoStepOptions solver;
 };
 
-// One binary-search probe, in solve order.
+// One ILP-confirmed probe, in solve order.
 struct StProbe {
   double st_target = 0.0;
   bool feasible = false;
@@ -62,12 +91,9 @@ struct StTargetResult {
   // rejected closed form, which then falls back to ST_up.
   int certify_failures = 0;
   // Incremental-session accounting of the ILP-confirmed search (all zero
-  // with warm_probes == false except model_rebuilds, which then equals
-  // probes; all zero for the closed form).
-  int warm_hits = 0;        // solves started from the previous probe's basis
-  int basis_fallbacks = 0;  // chained basis abandoned for the slack basis
-  int model_rebuilds = 0;   // full build_remap_model calls
-  int dual_solves = 0;      // probes whose LPs ran the dual simplex loop
+  // for the closed form; with warm_probes == false model_rebuilds equals
+  // probes and the basis counters stay zero).
+  ProbeSessionStats session;
   // Per-probe log, in solve order: target, verdict, wall seconds (empty for
   // the closed form). The differential tests compare it probe by probe; the
   // benches derive their probe-time percentiles from it.

@@ -56,6 +56,8 @@ struct Shared {
   SolveStatus limit_hit CGRAF_GUARDED_BY(mu) = SolveStatus::kOptimal;
   bool root_unbounded CGRAF_GUARDED_BY(mu) = false;
   bool proof_incomplete CGRAF_GUARDED_BY(mu) = false;
+  // The first node LP's own limit or cancel status (kOptimal: none).
+  SolveStatus lp_limit CGRAF_GUARDED_BY(mu) = SolveStatus::kOptimal;
   double incumbent_internal CGRAF_GUARDED_BY(mu) = kInf;
   std::vector<double> incumbent_x CGRAF_GUARDED_BY(mu);
   // Min bound among pruned-by-gap nodes.
@@ -442,6 +444,11 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
       }
       if (lp.status != SolveStatus::kOptimal) {
         sh.proof_incomplete = true;
+        if (sh.lp_limit == SolveStatus::kOptimal &&
+            (lp.status == SolveStatus::kTimeLimit ||
+             lp.status == SolveStatus::kIterLimit ||
+             lp.status == SolveStatus::kCancelled))
+          sh.lp_limit = lp.status;
         emit_node("lp_limit");
         sh.cv.notify_all();
         continue;
@@ -575,6 +582,8 @@ MipResult solve_milp(const Model& model, const MipOptions& opts) {
     res.status = SolveStatus::kInfeasible;
   } else if (sh.limit_hit != SolveStatus::kOptimal) {
     res.status = sh.limit_hit;
+  } else if (sh.lp_limit != SolveStatus::kOptimal) {
+    res.status = sh.lp_limit;
   } else {
     res.status = SolveStatus::kNumericalError;
   }

@@ -102,10 +102,10 @@ TEST(FaultRecovery, ImpossibleRecoveryKeepsBaseline) {
 
   RemapOptions opts;
   opts.blocked_pes = {4};
-  opts.max_outer_iters = 8;
   const RemapResult r = aging_aware_remap(design, baseline, opts);
   EXPECT_EQ(r.floorplan.op_to_pe, baseline.op_to_pe);
   EXPECT_FALSE(r.improved);
+  EXPECT_DOUBLE_EQ(r.mttf_gain, 1.0);
 }
 
 TEST(FaultRecovery, NoBlockedPesBehavesAsBefore) {

@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 
 #include "cgrra/stress.h"
 #include "core/candidates.h"
@@ -231,10 +232,21 @@ struct GateTotals {
 // hands the basis to the primal loop.
 constexpr long kDualStallWindow = 2000;
 
-// Walks the remapper's presearch ladder (ST_low, then a bisection over
-// [ST_low, ST_up] when ST_low is infeasible) with the crash-started
-// kMinPerturbation session and the cold kNull reference side by side,
-// branching on the reference verdict so that one divergence cannot snowball.
+// The remapper's presearch search (core/remapper.h) over `accepts`: ST_low,
+// then a bisection below the trusted ST_up when ST_low is rejected. Returns
+// the target the Delta loop starts from.
+double presearch_search(const PresearchFixture& fx,
+                        const std::function<bool(double)>& accepts) {
+  TargetSearchPlan plan;
+  plan.bisect_probes = kPresearchProbes;
+  return *search_st_target(std::max(fx.st_low, 1e-12), fx.st_up, plan,
+                           accepts);
+}
+
+// Walks the remapper's presearch ladder (presearch_search) with the
+// crash-started kMinPerturbation session and the cold kNull reference side
+// by side, branching on the reference verdict so that one divergence cannot
+// snowball.
 void run_presearch_gate(const std::string& name, const PresearchFixture& fx,
                         bool may_stall, GateTotals& totals) {
   ProbeSession subject = fx.session(true);
@@ -272,14 +284,7 @@ void run_presearch_gate(const std::string& name, const PresearchFixture& fx,
     }
     return vr;
   };
-  double lo = fx.st_low;
-  if (probe(lo)) return;
-  double hi = fx.st_up;
-  for (int it = 0; it < RemapOptions{}.lp_presearch_probes; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (probe(mid)) hi = mid;
-    else lo = mid;
-  }
+  presearch_search(fx, probe);
   // Crash starts are not warm hits; the session accounting stays disjoint.
   const ProbeSessionStats& st = subject.stats();
   EXPECT_LE(st.warm_hits + st.crash_starts + st.basis_fallbacks, st.probes)
@@ -321,24 +326,6 @@ TEST(ProbeDifferential, CrashStartedPresearchMatchesColdNullVerdicts) {
               totals.reference_iterations);
 }
 
-// The remapper's presearch ladder on `session`: ST_low, then a bisection
-// over [ST_low, ST_up] when ST_low is LP infeasible. Returns the target the
-// Delta loop starts from.
-double presearch_target(ProbeSession& session, const PresearchFixture& fx) {
-  auto lp_feasible = [&](double target) {
-    return session.solve_lp(target).status == milp::SolveStatus::kOptimal;
-  };
-  double lo = std::max(fx.st_low, 1e-12);
-  if (lp_feasible(lo)) return lo;
-  double hi = fx.st_up;
-  for (int it = 0; it < RemapOptions{}.lp_presearch_probes; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (lp_feasible(mid)) hi = mid;
-    else lo = mid;
-  }
-  return hi;
-}
-
 TEST(ProbeDifferential, DeltaLoopOnThePresearchSessionMatchesAFreshSession) {
   // One session per geometry serves the presearch (solve_lp) and the Delta
   // loop (solve). The two keep separate basis chains and the patched model
@@ -363,7 +350,9 @@ TEST(ProbeDifferential, DeltaLoopOnThePresearchSessionMatchesAFreshSession) {
       if (fx.st_up <= 0.0) continue;
       const std::string name = spec.name + (rotate ? " rotated" : " identity");
       ProbeSession merged = fx.session(true, solver);
-      const double target = presearch_target(merged, fx);
+      const double target = presearch_search(fx, [&](double t) {
+        return merged.solve_lp(t).status == milp::SolveStatus::kOptimal;
+      });
       const bool model_live = !merged.model().trivially_infeasible;
       const int rebuilds = merged.stats().model_rebuilds;
       const TwoStepResult rm = merged.solve(target);

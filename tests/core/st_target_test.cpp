@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "cgrra/stress.h"
+#include "core/remapper.h"
 #include "workloads/suite.h"
 
 namespace cgraf::core {
@@ -73,8 +78,8 @@ TEST(StTarget, LpModeIsAnsweredInClosedForm) {
     EXPECT_EQ(r.st_target, r.st_low);
     EXPECT_EQ(r.probes, 0);
     EXPECT_EQ(r.lp_iterations, 0);
-    EXPECT_EQ(r.model_rebuilds, 0);
-    EXPECT_EQ(r.warm_hits, 0);
+    EXPECT_EQ(r.session.model_rebuilds, 0);
+    EXPECT_EQ(r.session.warm_hits, 0);
     EXPECT_TRUE(r.probe_log.empty());
   }
 }
@@ -111,34 +116,156 @@ TEST(StTarget, RejectedClosedFormFallsBackToTheBaselineMax) {
   EXPECT_EQ(r.probes, 0);
 }
 
-TEST(StTarget, TighterToleranceNeverWorsensTheBound) {
-  // The tolerance only steers the ILP-confirmed bisection.
-  const auto bench =
-      workloads::generate_benchmark(workloads::table1_specs(false)[0]);
-  StTargetOptions loose;
-  loose.confirm_with_ilp = true;
-  loose.tol_frac = 0.10;
-  StTargetOptions tight;
-  tight.confirm_with_ilp = true;
-  tight.tol_frac = 0.01;
-  tight.max_iters = 24;
-  const double t_loose =
-      find_st_target(bench.design, bench.baseline, loose).st_target;
-  const double t_tight =
-      find_st_target(bench.design, bench.baseline, tight).st_target;
-  EXPECT_LE(t_tight, t_loose + 1e-9);
+// search_st_target under a synthetic threshold oracle, accepts(t) = t >= θ,
+// recording every probed target in order.
+struct Threshold {
+  double theta;
+  std::vector<double> probes;
+};
+
+std::optional<double> run_search(double start, double cap,
+                                 const TargetSearchPlan& plan,
+                                 Threshold& oracle) {
+  return search_st_target(start, cap, plan, [&](double t) {
+    oracle.probes.push_back(t);
+    return t >= oracle.theta;
+  });
 }
 
-TEST(StTarget, ProbeCountIsBounded) {
-  const auto bench =
-      workloads::generate_benchmark(workloads::table1_specs(false)[0]);
-  StTargetOptions opts;
-  opts.confirm_with_ilp = true;  // only the ILP-confirmed search probes
-  opts.max_iters = 5;
-  const StTargetResult r = find_st_target(bench.design, bench.baseline, opts);
-  ASSERT_TRUE(r.ok);
-  EXPECT_GT(r.probes, 0);
-  EXPECT_LE(r.probes, 5 + 1);  // initial ST_low probe + max_iters
+// The three plans the remap flow runs (DESIGN.md §7).
+TargetSearchPlan presearch_plan() {
+  TargetSearchPlan plan;
+  plan.bisect_probes = kPresearchProbes;
+  return plan;
+}
+
+TargetSearchPlan ilp_plan(double bracket) {
+  TargetSearchPlan plan;
+  plan.bisect_probes = 16;
+  plan.min_width = std::max(1e-9, 0.02 * bracket);
+  return plan;
+}
+
+TargetSearchPlan scan_plan(double delta) {
+  TargetSearchPlan plan;
+  plan.scan = true;
+  plan.scan_step = delta;
+  plan.bisect_probes = kRefineProbes;
+  plan.min_width = delta;
+  return plan;
+}
+
+TEST(StTarget, SearchPresearchPlanProbesTheExactLadder) {
+  Threshold oracle{2.3, {}};
+  EXPECT_EQ(run_search(1.0, 9.0, presearch_plan(), oracle), 2.375);
+  EXPECT_EQ(oracle.probes,
+            (std::vector<double>{1.0, 5.0, 3.0, 2.0, 2.5, 2.25, 2.375}));
+
+  // An accepted start ends the search at once.
+  Threshold easy{0.5, {}};
+  EXPECT_EQ(run_search(1.0, 9.0, presearch_plan(), easy), 1.0);
+  EXPECT_EQ(easy.probes, std::vector<double>{1.0});
+
+  // No width stop: a degenerate bracket still spends the whole budget.
+  Threshold none{5.0, {}};
+  EXPECT_EQ(run_search(4.0, 4.0, presearch_plan(), none), 4.0);
+  EXPECT_EQ(none.probes, std::vector<double>(1 + kPresearchProbes, 4.0));
+}
+
+TEST(StTarget, SearchIlpPlanProbesTheExactLadder) {
+  Threshold oracle{5.1, {}};
+  EXPECT_EQ(run_search(0.0, 16.0, ilp_plan(16.0), oracle), 5.25);
+  // Stops once the bracket [5, 5.25] is within 2% of 16 (0.32).
+  EXPECT_EQ(oracle.probes,
+            (std::vector<double>{0.0, 8.0, 4.0, 6.0, 5.0, 5.5, 5.25}));
+}
+
+TEST(StTarget, SearchScanPlanProbesTheExactLadder) {
+  Threshold oracle{5.2, {}};
+  EXPECT_EQ(run_search(1.0, 10.0, scan_plan(0.5), oracle), 5.5);
+  // Scan: 1 + max(0.5, 9/3) = 4, 4 + max(0.5, 6/3) = 6 (accepted); then
+  // bisect [4, 6] while wider than the step: 5 (rejected), 5.5 (accepted).
+  EXPECT_EQ(oracle.probes, (std::vector<double>{1.0, 4.0, 6.0, 5.0, 5.5}));
+}
+
+TEST(StTarget, SearchNeverProbesTheTrustedTop) {
+  // Nothing below the cap is accepted: a trusted top is still the answer,
+  // and it is never handed to the oracle.
+  for (const TargetSearchPlan& plan : {presearch_plan(), ilp_plan(8.0)}) {
+    Threshold oracle{100.0, {}};
+    EXPECT_EQ(run_search(1.0, 9.0, plan, oracle), 9.0);
+    ASSERT_FALSE(oracle.probes.empty());
+    for (const double t : oracle.probes) EXPECT_LT(t, 9.0);
+  }
+}
+
+TEST(StTarget, SearchScanClampsAtTheCapAndGivesUp) {
+  // A reachable cap: the last probe is the clamped cap, then the scan gives
+  // up without bisecting.
+  const double clamp = 10.0 * (1.0 + 1e-9);
+  Threshold oracle{100.0, {}};
+  EXPECT_EQ(run_search(1.0, 10.0, scan_plan(0.5), oracle), std::nullopt);
+  ASSERT_FALSE(oracle.probes.empty());
+  EXPECT_EQ(oracle.probes.back(), clamp);
+  for (const double t : oracle.probes) EXPECT_LE(t, clamp);
+  EXPECT_TRUE(std::is_sorted(oracle.probes.begin(), oracle.probes.end()));
+
+  // A start at the clamp: one probe, no step.
+  Threshold at_cap{100.0, {}};
+  EXPECT_EQ(run_search(clamp, 10.0, scan_plan(0.5), at_cap), std::nullopt);
+  EXPECT_EQ(at_cap.probes, std::vector<double>{clamp});
+
+  // A cap the geometric steps never reach: the scan spends its probe budget
+  // (the start included) and gives up.
+  Threshold far{2e9, {}};
+  EXPECT_EQ(run_search(1.0, 1e9, scan_plan(1e-9), far), std::nullopt);
+  ASSERT_EQ(static_cast<int>(far.probes.size()), kMaxScanProbes);
+  EXPECT_LT(far.probes.back(), 1e9);
+
+  // Accepted on the budget's last probe: the refinement still runs.
+  Threshold last{far.probes.back(), {}};
+  EXPECT_TRUE(run_search(1.0, 1e9, scan_plan(1e-9), last).has_value());
+  EXPECT_EQ(static_cast<int>(last.probes.size()),
+            kMaxScanProbes + kRefineProbes);
+}
+
+TEST(StTarget, NarrowerMinWidthNeverReturnsAHigherTarget) {
+  // Under a monotone oracle a narrower width stop only adds bisection
+  // probes, and each accepted one lowers the top.
+  for (const bool scan : {false, true}) {
+    for (const double theta : {0.3, 1.7, 2.05, 4.4, 6.999, 7.9}) {
+      double previous = 1e300;
+      for (const double width : {2.0, 1.0, 0.5, 0.1, 0.01, 1e-9}) {
+        TargetSearchPlan plan = scan ? scan_plan(0.25) : ilp_plan(8.0);
+        plan.bisect_probes = 24;
+        plan.min_width = width;
+        Threshold oracle{theta, {}};
+        const std::optional<double> t = run_search(0.0, 8.0, plan, oracle);
+        ASSERT_TRUE(t.has_value());
+        EXPECT_GE(*t, theta);
+        EXPECT_LE(*t, previous) << (scan ? "scan" : "trusted") << " theta "
+                                << theta << " width " << width;
+        previous = *t;
+      }
+    }
+  }
+}
+
+TEST(StTarget, SearchProbeCountIsBounded) {
+  // A trusted top spends at most the start plus its bisection budget; a
+  // scan at most its probe budget plus the refinement.
+  for (double theta = -1.0; theta < 12.0; theta += 0.37) {
+    Threshold a{theta, {}};
+    run_search(1.0, 9.0, presearch_plan(), a);
+    EXPECT_LE(a.probes.size(), 1u + kPresearchProbes);
+    Threshold b{theta, {}};
+    run_search(1.0, 9.0, ilp_plan(8.0), b);
+    EXPECT_LE(b.probes.size(), 1u + 16);
+    Threshold c{theta, {}};
+    run_search(1.0, 9.0, scan_plan(0.4), c);
+    EXPECT_LE(c.probes.size(),
+              static_cast<std::size_t>(kMaxScanProbes + kRefineProbes));
+  }
 }
 
 }  // namespace

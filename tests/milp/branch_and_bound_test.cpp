@@ -112,6 +112,24 @@ TEST(BranchAndBound, NodeLimitWithoutSolution) {
   EXPECT_FALSE(r.has_solution());
 }
 
+TEST(BranchAndBound, NodeLpLimitWithoutSolutionReportsTheLimit) {
+  // The root LP needs more than one pivot, so a one-iteration LP cap stops
+  // it before any incumbent exists: the search must report the LP's own
+  // limit, not a numerical error.
+  Model m;
+  m.set_sense(Sense::kMaximize);
+  const double value[] = {7, 5, 4, 3};
+  const double weight[] = {13, 10, 8, 7};
+  std::vector<std::pair<int, double>> row;
+  for (int i = 0; i < 4; ++i) row.emplace_back(m.add_binary(value[i]), weight[i]);
+  m.add_le(std::move(row), 19.0);
+  MipOptions opts;
+  opts.lp.max_iters = 1;
+  const MipResult r = solve_milp(m, opts);
+  EXPECT_EQ(r.status, SolveStatus::kIterLimit) << to_string(r.status);
+  EXPECT_FALSE(r.has_solution());
+}
+
 TEST(BranchAndBound, BestBoundIsValid) {
   Model m;
   m.set_sense(Sense::kMaximize);

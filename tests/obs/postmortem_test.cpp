@@ -135,9 +135,10 @@ TEST(Postmortem, StSearchProbeTotalsMatchResultExactly) {
   EXPECT_EQ(report.st_searches, 1);
   EXPECT_EQ(report.st_closed_form, 0);
   EXPECT_EQ(report.probes, static_cast<long>(r.probes));
-  EXPECT_EQ(report.probe_warm_hits, static_cast<long>(r.warm_hits));
-  EXPECT_EQ(report.probe_fallbacks, static_cast<long>(r.basis_fallbacks));
-  EXPECT_EQ(report.probe_rebuilds, static_cast<long>(r.model_rebuilds));
+  const core::ProbeSessionStats& ps = r.session;
+  EXPECT_EQ(report.probe_warm_hits, static_cast<long>(ps.warm_hits));
+  EXPECT_EQ(report.probe_fallbacks, static_cast<long>(ps.basis_fallbacks));
+  EXPECT_EQ(report.probe_rebuilds, static_cast<long>(ps.model_rebuilds));
   EXPECT_EQ(report.lp_iterations, r.lp_iterations);
   expect_lp_stage_totals(report, r.lp_stage);
   // The probe chain reconstructs in emission order with sane timestamps.
